@@ -9,7 +9,7 @@ graph constructions, all in exact integer arithmetic and all verifiable
 against a brute-force oracle at desk scale.
 """
 
-from .arith import Factorization, crt_combine, factorize, is_prime, xgcd
+from .arith import Factorization, additive_order, crt_combine, factorize, is_prime, xgcd
 from .construct import ConstructionRecipe, build_rank_1, build_rank_k, sharpness_check
 from .cycles import (
     CycleInstance,
@@ -41,10 +41,9 @@ from .graph import (
     parse_graph_json,
     spline_check,
 )
-from .matrix import IntMatrix, SnfResult, det, hnf, kernel_basis, snf
+from .matrix import IntMatrix, SnfResult, det, hnf, snf
 from .oracle import (
     ModuleFingerprint,
-    additive_order,
     enumerate_splines,
     fingerprint,
     span,
@@ -81,7 +80,6 @@ __all__ = [
     "integer_lattice",
     "invariant_factors",
     "is_prime",
-    "kernel_basis",
     "load_graph",
     "mgs_merge",
     "module_isomorphic",

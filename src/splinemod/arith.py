@@ -41,6 +41,14 @@ def lcm(a: int, b: int) -> int:
     return abs(a * b) // gcd(a, b)
 
 
+def additive_order(values: tuple[int, ...], m: int) -> int:
+    """Additive order of a residue vector mod m."""
+    order = 1
+    for x in values:
+        order = lcm(order, m // gcd(x, m))
+    return order
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality: trial division below 10**3, then Miller-Rabin."""
     if n < 2:

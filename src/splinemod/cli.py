@@ -14,11 +14,12 @@ import json
 import sys
 
 from . import construct as construct_mod
-from .arith import is_prime
+from .arith import additive_order, factorize
 from .cycles import (
     GeneratingSet,
     coprime_order_classes,
     cycle_instance,
+    leading_index,
     mgs_merge,
     power_label_cycle_gens,
     single_label_mgs,
@@ -28,8 +29,8 @@ from .decompose import decompose
 from .engine import (
     SplineModule,
     extension_analysis,
-    integer_lattice,
     invariant_factors,
+    pulled_back_lattice,
 )
 from .errors import (
     BudgetExceeded,
@@ -40,7 +41,7 @@ from .errors import (
     SplineError,
 )
 from .graph import EdgeLabeledGraph, load_graph, normalize
-from .oracle import additive_order, enumerate_splines, fingerprint, span_equals
+from .oracle import enumerate_splines, fingerprint, span_equals
 
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
@@ -56,16 +57,9 @@ def _apply_order(G: EdgeLabeledGraph, order: str | None) -> EdgeLabeledGraph:
 def _display_generators(module: SplineModule) -> list[list[int]]:
     """Largest order first, then latest leading vertex first; the stored
     module keeps ascending factor pairing."""
-
-    def lead(vec):
-        for i, x in enumerate(vec):
-            if x:
-                return i
-        return len(vec)
-
     paired = sorted(
         zip(module.invariant_factors, module.mgs),
-        key=lambda fv: (-fv[0], -lead(fv[1])),
+        key=lambda fv: (-fv[0], -leading_index(fv[1])),
     )
     return [list(vec) for _, vec in paired]
 
@@ -109,14 +103,12 @@ def _oracle_block(G: EdgeLabeledGraph, module: SplineModule, budget: int | None)
 
 
 def _integer_mode_report(G: EdgeLabeledGraph) -> dict:
-    gnorm, nreport = normalize(G)
-    basis = integer_lattice(gnorm)
-    columns = [list(nreport.pull_back(c)) for c in basis.matrix.columns()]
+    columns, nreport = pulled_back_lattice(G)
     return {
         "instance": G.to_json_obj(),
         "normalization": _normalization_json(nreport),
         "mode": "integer-lattice",
-        "lattice_basis_columns": columns,
+        "lattice_basis_columns": [list(c) for c in columns],
         "provenance": "hermite-lattice",
     }
 
@@ -126,15 +118,17 @@ def _solve_report(G: EdgeLabeledGraph, path: str, verify: bool, budget: int | No
         if verify:
             raise SplineError("--verify cannot enumerate an infinite module")
         return _integer_mode_report(G)
-    gnorm, nreport = normalize(G)
+    _, nreport = normalize(G)
     m = G.modulus
 
     direct = None
     crt_block = None
     if path in ("direct", "both"):
         direct = invariant_factors(G)
+    # For a prime power the decomposition's one component is the input
+    # itself, so a cross-check would only solve the same graph twice.
     run_crt = (path == "crt" and m >= 2) or (
-        path == "both" and m >= 2 and not is_prime(m)
+        path == "both" and len(factorize(m).pairs) >= 2
     )
     if run_crt:
         dec = decompose(G)
@@ -278,14 +272,8 @@ def _extend_report(base: EdgeLabeledGraph, ext: EdgeLabeledGraph, vertex: str) -
         report["base_module"] = _module_json(invariant_factors(base))
         report["extended_module"] = _module_json(invariant_factors(ext))
     else:
-        bnorm, brep = normalize(base)
-        enorm, erep = normalize(ext)
-        report["base_lattice_basis"] = [
-            list(brep.pull_back(c)) for c in integer_lattice(bnorm).matrix.columns()
-        ]
-        report["extended_lattice_basis"] = [
-            list(erep.pull_back(c)) for c in integer_lattice(enorm).matrix.columns()
-        ]
+        for key, G in (("base_lattice_basis", base), ("extended_lattice_basis", ext)):
+            report[key] = [list(c) for c in pulled_back_lattice(G)[0]]
     return report
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import factorize, lcm
-from .errors import InfeasibleParameters, InternalInconsistency
+from .arith import Factorization, factorize, lcm
+from .errors import InfeasibleParameters, InternalInconsistency, InvalidModulus
 from .graph import EdgeLabeledGraph, spline_check
 
 
@@ -35,9 +35,15 @@ class ConstructionRecipe:
     steps: tuple[BuildStep, ...]
 
 
+def _factor_modulus(m: int) -> Factorization:
+    if m < 1:
+        raise InvalidModulus(f"modulus {m} is not a positive integer")
+    return factorize(m)
+
+
 def _coprime_split(m: int) -> tuple[int, int]:
     """Deterministic coprime pair (n1, n2), n1*n2 = m, n1 the least prime power."""
-    fac = factorize(m)
+    fac = _factor_modulus(m)
     if len(fac.pairs) < 2:
         raise InfeasibleParameters(
             f"modulus {m} is a prime power; a coprime split needs two distinct primes"
@@ -107,7 +113,7 @@ def build_rank_1(n: int, m: int) -> tuple[EdgeLabeledGraph, ConstructionRecipe]:
     (K4 base).  Each growth vertex attaches with one n1-edge and one n2-edge,
     so nothing is supported on it alone.
     """
-    fac = factorize(m)
+    fac = _factor_modulus(m)
     distinct = len(fac.pairs)
     if n == 3:
         if distinct < 3:
@@ -166,7 +172,7 @@ def sharpness_check(G: EdgeLabeledGraph) -> tuple[int, ...]:
     placed on the vertex alone, satisfies every edge.
     """
     m = G.modulus
-    if len(factorize(m).pairs) != 2:
+    if len(_factor_modulus(m).pairs) != 2:
         raise InfeasibleParameters(
             f"sharpness witness applies to moduli with exactly two primes, not {m}"
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import factorize, lcm
+from .arith import additive_order, factorize, lcm
 from .errors import (
     HypothesisViolated,
     NotACycle,
@@ -265,18 +265,12 @@ def coprime_order_classes(m: int, m1: int, m2: int) -> tuple[int, int]:
     return m // f2, f2
 
 
-def _leading_index(vec: Vec) -> int:
+def leading_index(vec: Vec) -> int:
+    """Index of the first nonzero entry (the leading vertex), len(vec) if none."""
     for i, x in enumerate(vec):
         if x:
             return i
     return len(vec)
-
-
-def _order(vec: Vec, m: int) -> int:
-    o = 1
-    for x in vec:
-        o = lcm(o, m // gcd(x, m))
-    return o
 
 
 def mgs_merge(B: GeneratingSet, m: int, factors: tuple[int, ...]) -> GeneratingSet:
@@ -298,7 +292,7 @@ def mgs_merge(B: GeneratingSet, m: int, factors: tuple[int, ...]) -> GeneratingS
         nonzero = {x for x in vec if x}
         if len(nonzero) != 1:
             raise HypothesisViolated(f"{vec} is not a constant flow-up labeling")
-        order = _order(vec, m)
+        order = additive_order(vec, m)
         home = [f for f in factors if f % order == 0]
         if not home:
             raise HypothesisViolated(
@@ -306,7 +300,7 @@ def mgs_merge(B: GeneratingSet, m: int, factors: tuple[int, ...]) -> GeneratingS
             )
         groups[home[0]].append(vec)
     for f in groups:
-        groups[f].sort(key=_leading_index, reverse=True)
+        groups[f].sort(key=leading_index, reverse=True)
     width = max((len(g) for g in groups.values()), default=0)
     merged: list[Vec] = [B.splines[0]]
     for j in range(width):

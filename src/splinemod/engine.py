@@ -2,30 +2,35 @@
 
 The mod-m spline module is the image of the lattice
 
-    L = { f in Z^n : gcd(label, m) divides f_u - f_v for every edge uv }
+    L = { f in Z^n : g_e = gcd(label, m) divides f_u - f_v on every edge uv }
 
 under reduction mod m, and L always contains m*Z^n, so the module is the
-finite quotient L / m*Z^n.  Everything follows from two normal forms:
+finite quotient L / m*Z^n.  Everything follows from normal forms:
 
-* a triangular (flow-up) basis B of L via Hermite normal form, whose columns
-  reduce to flow-up generating vectors mod m;
+* a triangular (flow-up) basis B of L, built from the dual lattice.
+  Because m*Z^n lies in L, the dual L^* lies between Z^n and (1/m)*Z^n,
+  so m*L^* is an integer lattice, spanned by the columns m*e_i and
+  (m/g_e)(e_u - e_v) whose entries never exceed m.  Its Hermite form H
+  gives B = m*H^{-T} exactly, and a second Hermite form makes B canonical;
 * the Smith normal form of m*B^{-1} (an integer matrix), whose diagonal is
   the invariant-factor chain of the quotient and whose right transform hands
   back a minimum generating set.
 
-Working over Z and reducing at the end avoids normal forms over Z/mZ, which
-is not a domain.
+In integer mode (m = 0) L contains M*Z^n for M the lcm of the labels, and
+the same construction runs with M in place of m.  Working over Z and
+reducing at the end avoids normal forms over Z/mZ, which is not a domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 
 from .arith import lcm, solve_congruences
 from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
-from .graph import EdgeLabeledGraph, normalize, spline_check
-from .matrix import IntMatrix, hnf, kernel_basis, snf
+from .graph import EdgeLabeledGraph, NormalizationReport, normalize, spline_check
+from .matrix import IntMatrix, hnf, snf
 
 
 @dataclass(frozen=True)
@@ -89,30 +94,51 @@ class ExtensionAnalysis:
 def integer_lattice(G: EdgeLabeledGraph) -> LatticeBasis:
     """Flow-up basis of the integer spline lattice of a normalized graph.
 
-    Realized as the projection onto vertex coordinates of the kernel of the
-    block system [incidence | -diag(g_e)]: f is in L iff f_u - f_v = g_e * y_e
-    has an integer witness y.
+    Built from the dual lattice.  With c = m (in integer mode, the lcm of
+    the labels) every g_e divides c, so c*Z^n lies in L and c*L^* lies in
+    Z^n: it is the integer lattice spanned by the columns c*e_i and
+    (c/g_e)(e_u - e_v).  Its Hermite form H, taken with the vertex rows in
+    reverse so that H is upper triangular in vertex order, gives
+    L = c*H^{-T}: an exact, lower triangular basis (integral because L lies
+    in Z^n), which one more Hermite form makes canonical.
     """
     n = G.n
     if not G.edges:
         return LatticeBasis(IntMatrix.identity(n), G.vertices, G.modulus)
-    e = len(G.edges)
-    rows = []
-    for idx, (u, v, label) in enumerate(G.edges):
-        row = [0] * (n + e)
-        row[u] = 1
-        row[v] = -1
-        row[n + idx] = -gcd(label, G.modulus)
-        rows.append(row)
-    kernel = kernel_basis(IntMatrix(rows))
-    projected = IntMatrix.from_columns([k[:n] for k in kernel])
-    H, _ = hnf(projected)
-    cols = [c for c in H.columns() if any(c)]
-    if len(cols) != n:
+    labels = [gcd(label, G.modulus) for _, _, label in G.edges]
+    c = G.modulus or reduce(lcm, labels)
+    if c == 0:
         raise InternalInconsistency(
             "spline lattice is not full rank; was the graph normalized?"
         )
-    return LatticeBasis(IntMatrix.from_columns(cols), G.vertices, G.modulus)
+    columns = [[c if i == k else 0 for i in range(n)] for k in range(n)]
+    for (u, v, _), g in zip(G.edges, labels):
+        col = [0] * n
+        col[u], col[v] = c // g, -(c // g)
+        columns.append(col)
+    # With the vertex rows in reverse the echelon form is lower triangular
+    # in reverse vertex order; reversing its rows and columns back gives H,
+    # upper triangular in vertex order, and its rows are the columns of H^T.
+    reverse = hnf(IntMatrix.from_columns([col[::-1] for col in columns]))
+    lower = IntMatrix.from_columns(
+        [row[n - 1 :: -1] for row in reversed(reverse.entries)]
+    )
+    basis = hnf(_scaled_inverse(lower, c))
+    return LatticeBasis(basis, G.vertices, G.modulus)
+
+
+def pulled_back_lattice(
+    G: EdgeLabeledGraph,
+) -> tuple[tuple[tuple[int, ...], ...], NormalizationReport]:
+    """Integer lattice basis columns of any graph, on its own vertices.
+
+    The graph is normalized, its lattice basis computed, and each column
+    pulled back through the vertex merges; the normalization report is
+    returned alongside.
+    """
+    gnorm, report = normalize(G)
+    columns = integer_lattice(gnorm).matrix.columns()
+    return tuple(report.pull_back(c) for c in columns), report
 
 
 def _scaled_inverse(B: IntMatrix, m: int) -> IntMatrix:
@@ -196,16 +222,17 @@ def module_isomorphic(A: SplineModule, B: SplineModule) -> bool:
     return A.invariant_factors == B.invariant_factors
 
 
+def _skip(i: int, vi: int) -> int:
+    """Index of vertex i once vertex vi is removed."""
+    return i if i < vi else i - 1
+
+
 def _restriction_matches(G: EdgeLabeledGraph, G_plus: EdgeLabeledGraph, vi: int) -> bool:
     remaining = G_plus.vertices[:vi] + G_plus.vertices[vi + 1 :]
     if remaining != G.vertices or G.modulus != G_plus.modulus:
         return False
-
-    def remap(i: int) -> int:
-        return i if i < vi else i - 1
-
     kept = sorted(
-        (min(remap(u), remap(v)), max(remap(u), remap(v)), label)
+        (_skip(min(u, v), vi), _skip(max(u, v), vi), label)
         for u, v, label in G_plus.edges
         if vi not in (u, v)
     )
@@ -247,20 +274,14 @@ def extension_analysis(
     if m:
         generators = invariant_factors(G).mgs
     else:
-        gnorm, report = normalize(G)
-        generators = tuple(
-            report.pull_back(col) for col in integer_lattice(gnorm).matrix.columns()
-        )
-
-    def remap(i: int) -> int:
-        return i if i < vi else i - 1
+        generators, _ = pulled_back_lattice(G)
 
     surjective = True
     for gen in generators:
         system = []
         for u, v, label in incident:
             other = v if u == vi else u
-            system.append((gen[remap(other)], gcd(label, m)))
+            system.append((gen[_skip(other, vi)], gcd(label, m)))
         if solve_congruences(system) is None:
             surjective = False
             break

@@ -59,10 +59,6 @@ class EdgeLabeledGraph:
         except ValueError:
             raise UnknownVertex(f"unknown vertex {name!r}") from None
 
-    def edge_gcd(self, label: int) -> int:
-        """Generator of the constraint ideal: gcd(label, m), or |label| over Z."""
-        return gcd(label, self.modulus)
-
     def incident(self, v: int) -> list[Edge]:
         return [e for e in self.edges if v in (e[0], e[1])]
 
@@ -178,6 +174,14 @@ def parse_graph(text: str) -> EdgeLabeledGraph:
     return EdgeLabeledGraph(modulus, tuple(vertices), tuple(resolved))
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, and int() would truncate a float or parse a
+    # string; only a JSON integer is accepted.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def parse_graph_json(text: str) -> EdgeLabeledGraph:
     """Parse the JSON mirror: {"mod": m, "vertices": [...], "edges": [[u, v, label], ...]}."""
     try:
@@ -185,21 +189,21 @@ def parse_graph_json(text: str) -> EdgeLabeledGraph:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     try:
-        modulus = int(obj["mod"])
+        modulus = _json_int(obj["mod"], "modulus")
         vertices = [str(v) for v in obj["vertices"]]
-        raw_edges = obj["edges"]
+        raw_edges = list(obj["edges"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from None
     index = {name: i for i, name in enumerate(vertices)}
     edges = []
     for entry in raw_edges:
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"edge entry {entry!r} is not [u, v, label]")
         u, v, label = entry
         u, v = str(u), str(v)
         if u not in index or v not in index:
             raise UnknownVertex(f"edge {entry!r} references an undeclared vertex")
-        edges.append((index[u], index[v], int(label)))
+        edges.append((index[u], index[v], _json_int(label, "edge label")))
     return EdgeLabeledGraph(modulus, tuple(vertices), tuple(edges))
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .arith import xgcd
+
 
 class IntMatrix:
     """Immutable integer matrix, row-major."""
@@ -60,9 +62,6 @@ class IntMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_columns(self.entries)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -122,19 +121,18 @@ def _add_col_multiple(M: list[list[int]], dst: int, src: int, q: int):
         row[dst] += q * row[src]
 
 
-def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form: returns (H, U) with H = A @ U.
+def hnf(A: IntMatrix) -> IntMatrix:
+    """Column-style Hermite normal form H of A: same column lattice.
 
-    U is unimodular.  H is in column echelon form, lower-triangular with
-    respect to the row order: pivots are positive and strictly descend the
-    rows as columns advance, and in each pivot row the entries left of the
-    pivot lie in [0, pivot).  Non-pivot columns (beyond the rank) are zero.
+    H is in column echelon form, lower-triangular with respect to the row
+    order: pivots are positive and strictly descend the rows as columns
+    advance, and in each pivot row the entries left of the pivot lie in
+    [0, pivot).  Non-pivot columns (beyond the rank) are zero.
     """
     if A.nrows == 0 or A.ncols == 0:
         raise ValueError("hnf requires at least one row and one column")
     rows, cols = A.nrows, A.ncols
     H = A.to_lists()
-    U = IntMatrix.identity(cols).to_lists()
     pivot = 0
     for r in range(rows):
         if pivot >= cols:
@@ -145,48 +143,19 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if H[r][j] == 0:
                 continue
             a, b = H[r][pivot], H[r][j]
-            g, x, y = _xgcd(a, b)
+            g, x, y = xgcd(a, b)
             _apply_col_2x2(H, pivot, j, x, y, -(b // g), a // g)
-            _apply_col_2x2(U, pivot, j, x, y, -(b // g), a // g)
         if H[r][pivot] == 0:
             continue  # row has no pivot; move to the next row, same column
         if H[r][pivot] < 0:
             _scale_col(H, pivot, -1)
-            _scale_col(U, pivot, -1)
         p = H[r][pivot]
         for j in range(pivot):
             q = H[r][j] // p  # floor division leaves a remainder in [0, p)
             if q:
                 _add_col_multiple(H, j, pivot, -q)
-                _add_col_multiple(U, j, pivot, -q)
         pivot += 1
-    return IntMatrix(H), IntMatrix(U)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis (as column vectors) of the integer kernel {x : A @ x = 0}.
-
-    The zero columns of the Hermite form correspond, through the recorded
-    unimodular transform, to a basis of the kernel lattice.
-    """
-    H, U = hnf(A)
-    out = []
-    for j in range(A.ncols):
-        if all(H.entries[i][j] == 0 for i in range(A.nrows)):
-            out.append(U.column(j))
-    return out
+    return IntMatrix(H)
 
 
 def _min_abs_pivot(S: list[list[int]], t: int, rows: int, cols: int):
@@ -300,8 +269,8 @@ def column_lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
     """True iff the columns of A and of B span the same integer lattice."""
     if A.nrows != B.nrows:
         return False
-    ha, _ = hnf(A)
-    hb, _ = hnf(B)
+    ha = hnf(A)
+    hb = hnf(B)
     nza = [c for c in ha.columns() if any(c)]
     nzb = [c for c in hb.columns() if any(c)]
     return nza == nzb

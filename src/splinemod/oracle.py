@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import factorize, lcm
-from .errors import BudgetExceeded, NotAGroup
+from .arith import additive_order, factorize, lcm
+from .errors import BudgetExceeded, NotAGroup, SplineError
 from .graph import EdgeLabeledGraph
 
 DEFAULT_BUDGET = 10**7
@@ -27,9 +27,12 @@ def resolve_budget(budget: int | None = None) -> int:
     if budget is not None:
         return budget
     env = os.environ.get(_ENV_BUDGET)
-    if env is not None:
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
         return int(env)
-    return DEFAULT_BUDGET
+    except ValueError:
+        raise SplineError(f"{_ENV_BUDGET}={env!r} is not an integer") from None
 
 
 def enumerate_splines(
@@ -78,14 +81,6 @@ def enumerate_splines(
 
     extend(0)
     return out
-
-
-def additive_order(values: tuple[int, ...], m: int) -> int:
-    """Additive order of a residue vector mod m."""
-    order = 1
-    for x in values:
-        order = lcm(order, m // gcd(x, m))
-    return order
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import json
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -24,6 +26,9 @@ edge v1 v2 30
 edge v1 v3 18
 edge v2 v3 12
 """
+
+
+GRAPHS = pathlib.Path(__file__).parent / "graphs"
 
 
 @pytest.fixture
@@ -139,6 +144,32 @@ class TestSolve:
         monkeypatch.setattr(cli, "decompose", broken_decompose)
         assert cli.main(["solve", tri36]) == 4
 
+    def test_prime_power_solved_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m64.graph"
+        path.write_text(
+            "mod 64\nvertices a b c d e\n"
+            "edge a b 2\nedge b c 4\nedge c d 8\nedge d e 16\nedge e a 32\nedge a c 12\n"
+        )
+        crt = run_json(capsys, ["solve", str(path), "--crt"])
+        assert len(crt["crt"]["components"]) == 1
+
+        def no_decompose(G):
+            raise AssertionError("a prime-power modulus was decomposed")
+
+        monkeypatch.setattr(cli, "decompose", no_decompose)
+        report = run_json(capsys, ["solve", str(path)])
+        assert report["crt"] is None
+        assert report["invariant_factors"] == crt["invariant_factors"]
+
+    def test_wide_squarefree_graph_default_mode(self, capsys):
+        path = str(GRAPHS / "n30_e80_m30030.graph")
+        start = time.perf_counter()
+        report = run_json(capsys, ["solve", path])
+        assert time.perf_counter() - start < 1.0
+        crt = run_json(capsys, ["solve", path, "--crt"])
+        assert report["invariant_factors"] == crt["invariant_factors"]
+        assert report["crt"]["invariant_factors"] == crt["invariant_factors"]
+
     def test_human_output_mentions_factors(self, capsys, tri36):
         assert cli.main(["solve", tri36]) == 0
         out = capsys.readouterr().out
@@ -148,8 +179,6 @@ class TestSolve:
     def test_report_schema_frozen(self, capsys, tri36):
         # byte-stable against the checked-in golden file, modulo whitespace
         # (both sides re-serialized with sorted keys)
-        import pathlib
-
         report = run_json(capsys, ["solve", tri36])
         golden_path = pathlib.Path(__file__).parent / "golden" / "tri36_solve.json"
         golden = json.loads(golden_path.read_text())
@@ -281,6 +310,38 @@ class TestEnvBudget:
         monkeypatch.setenv("SPLINEMOD_BUDGET", "90000000")
         report = run_json(capsys, ["solve", c21, "--verify"])
         assert report["oracle"]["spline_count"] == 9261
+
+    def test_bad_env_budget_is_input_error(self, capsys, tri36, monkeypatch):
+        monkeypatch.setenv("SPLINEMOD_BUDGET", "xyz")
+        assert cli.main(["solve", tri36, "--verify"]) == 2
+        assert "SPLINEMOD_BUDGET" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Malformed input ends in exit 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"mod": "abc", "vertices": ["a", "b"], "edges": [["a", "b", 2]]},
+            {"mod": 6.0, "vertices": ["a", "b"], "edges": [["a", "b", 2]]},
+            {"mod": 6, "vertices": ["a", "b"], "edges": [5]},
+            {"mod": 6, "vertices": ["a", "b"], "edges": 5},
+            {"mod": 6, "vertices": ["a", "b"], "edges": [["a", "b", 2.7]]},
+            {"mod": 6, "vertices": ["a", "b"], "edges": [["a", "b", True]]},
+            {"mod": 6, "vertices": ["a", "b"], "edges": [["a", "b", "2"]]},
+        ],
+    )
+    def test_malformed_json_graph(self, capsys, tmp_path, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("m", ["0", "-6"])
+    def test_construct_nonpositive_modulus(self, capsys, m):
+        assert cli.main(["construct", "3", m, "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestConsoleScript:

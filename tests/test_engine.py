@@ -1,3 +1,4 @@
+import pathlib
 import random
 from math import gcd
 
@@ -12,7 +13,7 @@ from splinemod.engine import (
     rank,
 )
 from splinemod.errors import InvalidModulus, NotAnExtension
-from splinemod.graph import EdgeLabeledGraph, normalize, spline_check
+from splinemod.graph import EdgeLabeledGraph, load_graph, normalize, spline_check
 from splinemod.matrix import IntMatrix, column_lattices_equal
 from splinemod.oracle import (
     additive_order,
@@ -74,6 +75,15 @@ class TestIntegerLattice:
     def test_deterministic(self):
         G, _ = normalize(TRI36)
         assert integer_lattice(G).matrix == integer_lattice(G).matrix
+
+    def test_integer_mode_n20(self):
+        path = pathlib.Path(__file__).parent / "graphs" / "int_n20_e45.graph"
+        G, _ = normalize(load_graph(str(path)))
+        B = integer_lattice(G).matrix
+        assert B.nrows == B.ncols == G.n
+        for j, col in enumerate(B.columns()):
+            assert all(x == 0 for x in col[:j]) and col[j] > 0
+            assert spline_check(G, col)
 
 
 class TestFlowUp:

@@ -23,7 +23,6 @@ from .cycles import (
 from .decompose import Decomposition, decompose, recombine, reduce_graph
 from .engine import (
     ExtensionAnalysis,
-    LatticeBasis,
     SplineModule,
     extension_analysis,
     flow_up_generators,
@@ -59,7 +58,6 @@ __all__ = [
     "Factorization",
     "GeneratingSet",
     "IntMatrix",
-    "LatticeBasis",
     "ModuleFingerprint",
     "NormalizationReport",
     "SnfResult",

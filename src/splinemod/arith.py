@@ -8,6 +8,7 @@ precision is not optional.  All functions here are pure and thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 
 from .errors import NonCoprimeModuli
@@ -94,8 +95,35 @@ class Factorization:
     def prime_powers(self) -> tuple[int, ...]:
         return tuple(p**k for p, k in self.pairs)
 
-    def distinct_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 10**3.
+
+    Pollard's rho with Brent's cycle detection and batched gcds (Brent
+    1980), on x -> x^2 + c for c = 1, 2, ... until a proper factor appears.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def factorize(m: int) -> Factorization:
@@ -113,23 +141,17 @@ def factorize(m: int) -> Factorization:
                 rest //= p
                 k += 1
             pairs.append((p, k))
-    if rest > 1:
-        if is_prime(rest):
-            pairs.append((rest, 1))
+    # What is left is 1 or has only prime factors above 10**3; split it by rho.
+    counts: dict[int, int] = {}
+    stack = [rest] if rest > 1 else []
+    while stack:
+        n = stack.pop()
+        if is_prime(n):
+            counts[n] = counts.get(n, 0) + 1
         else:
-            # Rare at desk scale: composite cofactor with all factors >= 10**3.
-            d = 1009
-            while rest > 1:
-                if is_prime(rest):
-                    pairs.append((rest, 1))
-                    break
-                while rest % d:
-                    d += 2
-                k = 0
-                while rest % d == 0:
-                    rest //= d
-                    k += 1
-                pairs.append((d, k))
+            d = _brent_factor(n)
+            stack += [d, n // d]
+    pairs.extend(counts.items())
     pairs.sort()
     return Factorization(tuple(pairs))
 

@@ -1,11 +1,12 @@
 """Closed-form generating sets for cycles and the order-class merge.
 
 Three families of cycles admit explicit generating sets without any lattice
-computation: connected graphs with a single edge label, cycles labeled by
-powers of one zero divisor, and cycles with two label values whose lcm is
-the modulus.  The first two are minimum outright; the last is upgraded by
-``mgs_merge``, which pairs generators whose additive orders fall in coprime
-order classes and sums each pair.
+computation: connected graphs with a single edge label, cycles with labels
+whose ideals form a divisibility chain (powers of one zero divisor are the
+paper's case), and cycles with two label values whose lcm is the modulus.
+The first two are minimum outright; the last is upgraded by ``mgs_merge``,
+which pairs generators whose additive orders fall in coprime order classes
+and sums each pair.
 
 Rotation preconditions are applied automatically and recorded, so vectors
 are always reported on the caller's vertex order.
@@ -154,45 +155,25 @@ def single_label_mgs(G: EdgeLabeledGraph) -> GeneratingSet:
     return GeneratingSet(tuple(splines), minimum=True, provenance="single-label")
 
 
-def _power_table(a: int, m: int) -> dict[int, int]:
-    """Map power value -> least exponent >= 1, over Z/mZ."""
-    table: dict[int, int] = {}
-    x = a % m
-    e = 1
-    while x not in table:
-        table[x] = e
-        x = x * a % m
-        e += 1
-    return table
-
-
 def power_label_cycle_gens(C: CycleInstance) -> GeneratingSet:
-    """Generating set for a cycle labeled by powers of one zero divisor.
+    """Generating set for a cycle whose label ideals form a divisibility chain.
 
-    After rotating the minimal power onto the closing edge, generator i
-    carries label i's value on every position past edge i.  The label values
-    form a divisibility chain, so the set is minimum.
+    Powers of one zero divisor are the paper's case: gcd(a^k, m) divides
+    gcd(a^(k+1), m).  After rotating the least label onto the closing edge,
+    generator i carries label i's value on every position past edge i.  The
+    closing edge never binds, because its label divides every other, and the
+    orders m/label form a divisibility chain, so the set is minimum.
     """
     m = C.modulus
     if m < 2:
         raise NotPowerFamily("needs a modulus >= 2")
     if any(l == 0 or l == 1 for l in C.labels):
         raise NotPowerFamily("labels must be nonzero non-units")
-    base = None
-    exponents = None
-    for a in range(2, m):
-        if gcd(a, m) == 1:
-            continue
-        table = _power_table(a, m)
-        if all(l in table for l in C.labels):
-            base = a
-            exponents = [table[l] for l in C.labels]
-            break
-    if base is None:
-        raise NotPowerFamily(f"labels {C.labels} are not powers of a common zero divisor")
+    chain = sorted(set(C.labels))
+    if any(b % a for a, b in zip(chain, chain[1:])):
+        raise NotPowerFamily(f"labels {C.labels} do not form a divisibility chain")
     n = C.n
-    k_min = min(exponents)
-    rot = next(r for r in range(n) if exponents[(n - 1 + r) % n] == k_min)
+    rot = next(r for r in range(n) if C.labels[(n - 1 + r) % n] == chain[0])
     order, labels = _rotated(C, rot)
     splines: list[Vec] = [(1,) * n]
     for i in range(1, n):

@@ -34,19 +34,6 @@ from .matrix import IntMatrix, hnf, snf
 
 
 @dataclass(frozen=True)
-class LatticeBasis:
-    """Triangular basis of the integer spline lattice.
-
-    Columns of ``matrix`` span L; column j vanishes on the first j vertices
-    of the flow-up order and has a positive pivot at vertex j.
-    """
-
-    matrix: IntMatrix
-    vertices: tuple[str, ...]
-    modulus: int
-
-
-@dataclass(frozen=True)
 class SplineModule:
     """Computed answer for one graph: invariant factors and generating sets.
 
@@ -91,8 +78,11 @@ class ExtensionAnalysis:
     pi_surjective: bool
 
 
-def integer_lattice(G: EdgeLabeledGraph) -> LatticeBasis:
+def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
     """Flow-up basis of the integer spline lattice of a normalized graph.
+
+    Its columns span L; column j vanishes on the first j vertices of the
+    flow-up order and has a positive pivot at vertex j.
 
     Built from the dual lattice.  With c = m (in integer mode, the lcm of
     the labels) every g_e divides c, so c*Z^n lies in L and c*L^* lies in
@@ -104,7 +94,7 @@ def integer_lattice(G: EdgeLabeledGraph) -> LatticeBasis:
     """
     n = G.n
     if not G.edges:
-        return LatticeBasis(IntMatrix.identity(n), G.vertices, G.modulus)
+        return IntMatrix.identity(n)
     labels = [gcd(label, G.modulus) for _, _, label in G.edges]
     c = G.modulus or reduce(lcm, labels)
     if c == 0:
@@ -123,8 +113,7 @@ def integer_lattice(G: EdgeLabeledGraph) -> LatticeBasis:
     lower = IntMatrix.from_columns(
         [row[n - 1 :: -1] for row in reversed(reverse.entries)]
     )
-    basis = hnf(_scaled_inverse(lower, c))
-    return LatticeBasis(basis, G.vertices, G.modulus)
+    return hnf(_scaled_inverse(lower, c))
 
 
 def pulled_back_lattice(
@@ -137,7 +126,7 @@ def pulled_back_lattice(
     returned alongside.
     """
     gnorm, report = normalize(G)
-    columns = integer_lattice(gnorm).matrix.columns()
+    columns = integer_lattice(gnorm).columns()
     return tuple(report.pull_back(c) for c in columns), report
 
 
@@ -172,8 +161,7 @@ def invariant_factors(G: EdgeLabeledGraph) -> SplineModule:
     gnorm, report = normalize(G)
     if m == 1:
         return SplineModule(1, (), (), (), (1,) * gnorm.n)
-    basis = integer_lattice(gnorm)
-    B = basis.matrix
+    B = integer_lattice(gnorm)
     res = snf(_scaled_inverse(B, m))
 
     total = 1

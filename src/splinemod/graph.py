@@ -163,13 +163,19 @@ def parse_graph(text: str) -> EdgeLabeledGraph:
         raise ParseError("missing mod line")
     if vertices is None:
         raise ParseError("missing vertices line")
+    return _by_name(modulus, vertices, edges)
+
+
+def _by_name(
+    modulus: int, vertices: list[str], edges: list[tuple[str, str, int]]
+) -> EdgeLabeledGraph:
+    """The graph whose edges name their endpoints; both parsers end here."""
     index = {name: i for i, name in enumerate(vertices)}
     resolved = []
     for u, v, label in edges:
-        if u not in index:
-            raise UnknownVertex(f"edge references undeclared vertex {u!r}")
-        if v not in index:
-            raise UnknownVertex(f"edge references undeclared vertex {v!r}")
+        for name in (u, v):
+            if name not in index:
+                raise UnknownVertex(f"edge references undeclared vertex {name!r}")
         resolved.append((index[u], index[v], label))
     return EdgeLabeledGraph(modulus, tuple(vertices), tuple(resolved))
 
@@ -194,17 +200,13 @@ def parse_graph_json(text: str) -> EdgeLabeledGraph:
         raw_edges = list(obj["edges"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from None
-    index = {name: i for i, name in enumerate(vertices)}
     edges = []
     for entry in raw_edges:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"edge entry {entry!r} is not [u, v, label]")
         u, v, label = entry
-        u, v = str(u), str(v)
-        if u not in index or v not in index:
-            raise UnknownVertex(f"edge {entry!r} references an undeclared vertex")
-        edges.append((index[u], index[v], _json_int(label, "edge label")))
-    return EdgeLabeledGraph(modulus, tuple(vertices), tuple(edges))
+        edges.append((str(u), str(v), _json_int(label, "edge label")))
+    return _by_name(modulus, vertices, edges)
 
 
 def load_graph(path: str) -> EdgeLabeledGraph:

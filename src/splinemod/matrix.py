@@ -60,9 +60,6 @@ class IntMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.ncols)]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")

@@ -81,6 +81,20 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
 
+    def test_large_semiprime(self):
+        # both primes lie far above the trial-division table; rho splits them
+        p, q = 10**9 + 7, 10**9 + 9
+        assert factorize(p * q).pairs == ((p, 1), (q, 1))
+        assert factorize(p * p * q * 12).pairs == ((2, 2), (3, 1), (p, 2), (q, 1))
+
+    def test_products_of_large_primes(self):
+        primes = (1009, 1013, 10007, 1000003)
+        for i, p in enumerate(primes):
+            for q in primes[i:]:
+                for k in (1, 2):
+                    pairs = ((p, k + 1),) if p == q else ((p, k), (q, 1))
+                    assert factorize(p**k * q).pairs == pairs
+
 
 class TestCrtCombine:
     def test_golden(self):

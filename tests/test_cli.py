@@ -29,6 +29,7 @@ edge v2 v3 12
 
 
 GRAPHS = pathlib.Path(__file__).parent / "graphs"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -170,6 +171,19 @@ class TestSolve:
         assert report["invariant_factors"] == crt["invariant_factors"]
         assert report["crt"]["invariant_factors"] == crt["invariant_factors"]
 
+    def test_large_semiprime_modulus(self, capsys, tmp_path):
+        # m = (10**9 + 7) * (10**9 + 9): both primes lie past trial division
+        p, q = 10**9 + 7, 10**9 + 9
+        path = tmp_path / "big.graph"
+        path.write_text(
+            f"mod {p * q}\nvertices a b c\nedge a b {p}\nedge b c {q}\nedge a c 6\n"
+        )
+        start = time.perf_counter()
+        report = run_json(capsys, ["solve", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert report["invariant_factors"] == [p * q, p * q]
+        assert [c["prime_power"] for c in report["crt"]["components"]] == [p, q]
+
     def test_human_output_mentions_factors(self, capsys, tri36):
         assert cli.main(["solve", tri36]) == 0
         out = capsys.readouterr().out
@@ -219,6 +233,36 @@ class TestCycle:
         report = run_json(capsys, ["cycle", str(path), "--verify"])
         assert report["generating_set"]["provenance"] == "power-family"
         assert report["oracle"]["set_spans"] is True
+
+    def test_divisibility_chain_route(self, capsys, tmp_path):
+        # 6 is no power of 2 mod 12, but (2) contains (6): a chain all the same
+        path = tmp_path / "c4.graph"
+        path.write_text(
+            "mod 12\nvertices a b c d\n"
+            "edge a b 2\nedge b c 6\nedge c d 2\nedge d a 6\n"
+        )
+        report = run_json(capsys, ["cycle", str(path), "--verify"])
+        assert report["generating_set"]["provenance"] == "power-family"
+        assert report["note"] is None
+        assert report["oracle"]["set_spans"] is True
+
+    def test_two_label_40_cycle(self, capsys):
+        # m = 2^2 * 5 * 11^3; deciding that no closed form but two-label
+        # applies must not cost work that grows with m
+        start = time.perf_counter()
+        report = run_json(capsys, ["cycle", str(GRAPHS / "c40_m26620.graph")])
+        assert time.perf_counter() - start < 1.0
+        golden = json.loads((GOLDEN / "c40_m26620_cycle.json").read_text())
+        assert report["generating_set"]["provenance"] == "merged(two-label)"
+        assert json.dumps(report, sort_keys=True) == json.dumps(golden, sort_keys=True)
+
+    def test_two_label_large_modulus(self, capsys):
+        # m = 2 * 1000003, with labels 2 and 1000003
+        start = time.perf_counter()
+        report = run_json(capsys, ["cycle", str(GRAPHS / "c6_m2000006.graph")])
+        assert time.perf_counter() - start < 1.0
+        assert report["generating_set"]["provenance"] == "merged(two-label)"
+        assert report["invariant_factors"] == [2000006] * 3
 
     def test_fallback_route(self, capsys, tmp_path):
         # labels 2 and 3 mod 12: lcm is 6 != 12, no closed form applies
@@ -330,6 +374,7 @@ class TestInputErrors:
             {"mod": 6, "vertices": ["a", "b"], "edges": [["a", "b", 2.7]]},
             {"mod": 6, "vertices": ["a", "b"], "edges": [["a", "b", True]]},
             {"mod": 6, "vertices": ["a", "b"], "edges": [["a", "b", "2"]]},
+            {"mod": 6, "vertices": ["a", "b"], "edges": [["a", "c", 2]]},
         ],
     )
     def test_malformed_json_graph(self, capsys, tmp_path, obj):

@@ -148,10 +148,15 @@ class TestPowerFamily:
 
     def test_minimum_matches_engine_rank(self):
         rng = random.Random(53)
-        for m, p in ((8, 2), (9, 3), (27, 3)):
-            powers = [p**k % m for k in range(1, 4) if p**k % m not in (0, 1)]
+        pools = [
+            (m, [p**k % m for k in range(1, 4) if p**k % m not in (0, 1)])
+            for m, p in ((8, 2), (9, 3), (27, 3))
+        ]
+        # divisibility chains whose labels are not powers of one element
+        pools += [(12, [2, 6]), (18, [3, 6]), (20, [2, 10])]
+        for m, pool in pools:
             for n in (3, 4, 5):
-                G = random_cycle(rng, n, m, powers)
+                G = random_cycle(rng, n, m, pool)
                 gs = power_label_cycle_gens(cycle_instance(G))
                 assert len(gs.splines) == rank(G)
                 budget = m**n  # the solution set itself stays small

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import gcd
+from math import gcd, prod
 
 from .errors import NonCoprimeModuli
 
@@ -36,18 +36,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def lcm(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return abs(a * b) // gcd(a, b)
-
-
 def additive_order(values: tuple[int, ...], m: int) -> int:
-    """Additive order of a residue vector mod m."""
-    order = 1
-    for x in values:
-        order = lcm(order, m // gcd(x, m))
-    return order
+    """Additive order of a residue vector mod m > 0.
+
+    k*v = 0 mod m iff m divides k*v_i for every i, iff m / gcd(m, v_1, ...)
+    divides k.
+    """
+    return m // gcd(m, *values)
 
 
 def is_prime(n: int) -> bool:
@@ -87,10 +82,7 @@ class Factorization:
 
     @property
     def value(self) -> int:
-        v = 1
-        for p, k in self.pairs:
-            v *= p**k
-        return v
+        return prod(self.prime_powers())
 
     def prime_powers(self) -> tuple[int, ...]:
         return tuple(p**k for p, k in self.pairs)

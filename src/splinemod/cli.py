@@ -87,8 +87,9 @@ def _normalization_json(report) -> dict:
 
 def _oracle_block(G: EdgeLabeledGraph, module: SplineModule, budget: int | None) -> dict:
     splines = enumerate_splines(G, budget)
-    print_fp = fingerprint(splines, G.modulus)
-    span_ok = span_equals(list(module.mgs), splines, G.modulus, budget)
+    members = set(splines)
+    print_fp = fingerprint(splines, G.modulus, members=members)
+    span_ok = span_equals(list(module.mgs), members, G.modulus, budget)
     block = {
         "spline_count": len(splines),
         "census_factors": list(print_fp.invariant_factors),
@@ -269,11 +270,13 @@ def _extend_report(base: EdgeLabeledGraph, ext: EdgeLabeledGraph, vertex: str) -
         "pi_surjective": analysis.pi_surjective,
     }
     if base.modulus:
-        report["base_module"] = _module_json(invariant_factors(base))
+        report["base_module"] = _module_json(analysis.base)
         report["extended_module"] = _module_json(invariant_factors(ext))
     else:
-        for key, G in (("base_lattice_basis", base), ("extended_lattice_basis", ext)):
-            report[key] = [list(c) for c in pulled_back_lattice(G)[0]]
+        report["base_lattice_basis"] = [list(c) for c in analysis.base]
+        report["extended_lattice_basis"] = [
+            list(c) for c in pulled_back_lattice(ext)[0]
+        ]
     return report
 
 

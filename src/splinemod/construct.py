@@ -12,9 +12,9 @@ coprime split of m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
-from .arith import Factorization, factorize, lcm
+from .arith import Factorization, factorize
 from .errors import InfeasibleParameters, InternalInconsistency, InvalidModulus
 from .graph import EdgeLabeledGraph, spline_check
 
@@ -179,9 +179,7 @@ def sharpness_check(G: EdgeLabeledGraph) -> tuple[int, ...]:
     if G.n != 3 or len(G.edges) != 3 or any(G.degree(v) != 2 for v in range(3)):
         raise InfeasibleParameters("sharpness witness applies to 3-cycles")
     for v in range(3):
-        d = 1
-        for a, b, label in G.incident(v):
-            d = lcm(d, gcd(label, m))
+        d = lcm(*(gcd(label, m) for _, _, label in G.incident(v)))
         if d % m:
             witness = tuple(d if i == v else 0 for i in range(3))
             if not spline_check(G, witness):

@@ -15,9 +15,9 @@ are always reported on the caller's vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
-from .arith import additive_order, factorize, lcm
+from .arith import additive_order, factorize
 from .errors import (
     HypothesisViolated,
     NotACycle,

@@ -10,6 +10,7 @@ are exercised against each other in the tests and by the CLI cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .arith import crt_combine, factorize
 from .engine import SplineModule, invariant_factors
@@ -59,10 +60,8 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
     the j-th largest order from every component; missing slots contribute the
     zero labeling.  The glued orders then form the invariant-factor chain.
     """
-    m = 1
-    for comp in components:
-        m *= comp.prime_power
-    if m != G.modulus:
+    m = G.modulus
+    if prod(comp.prime_power for comp in components) != m:
         raise InternalInconsistency("components do not cover the modulus")
     n = G.n
     zero = (0,) * n
@@ -74,7 +73,6 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
     width = max(len(s) for s in stacks)
     glued: list[tuple[int, tuple[int, ...]]] = []
     for j in range(width):
-        order = 1
         vec = []
         for i in range(n):
             residues = []
@@ -82,9 +80,7 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
                 gen = stack[j][1] if j < len(stack) else zero
                 residues.append((gen[i], comp.prime_power))
             vec.append(crt_combine(residues))
-        for stack in stacks:
-            if j < len(stack):
-                order *= stack[j][0]
+        order = prod(stack[j][0] for stack in stacks if j < len(stack))
         vec_t = tuple(vec)
         if not spline_check(G, vec_t):
             raise InternalInconsistency(

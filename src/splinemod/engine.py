@@ -24,10 +24,9 @@ reducing at the end avoids normal forms over Z/mZ, which is not a domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd
+from math import gcd, lcm, prod
 
-from .arith import lcm, solve_congruences
+from .arith import solve_congruences
 from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
 from .graph import EdgeLabeledGraph, NormalizationReport, normalize, spline_check
 from .matrix import IntMatrix, hnf, snf
@@ -55,10 +54,7 @@ class SplineModule:
 
     @property
     def order(self) -> int:
-        total = 1
-        for d in self.invariant_factors:
-            total *= d
-        return total
+        return prod(self.invariant_factors)
 
 
 @dataclass(frozen=True)
@@ -69,13 +65,16 @@ class ExtensionAnalysis:
     vertex; splines supported on the new vertex alone are exactly its
     multiples, so the kernel of the restriction map has order
     m / gcd(incident_lcm, m).  ``kernel_order`` is None in integer mode with
-    a nonzero kernel (the kernel is then infinite).
+    a nonzero kernel (the kernel is then infinite).  ``base`` is the solved
+    base graph: its module mod m, or in integer mode its lattice basis
+    columns on its own vertices.
     """
 
     new_vertex: str
     incident_lcm: int
     kernel_order: int | None
     pi_surjective: bool
+    base: SplineModule | tuple[tuple[int, ...], ...]
 
 
 def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
@@ -96,7 +95,7 @@ def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
     if not G.edges:
         return IntMatrix.identity(n)
     labels = [gcd(label, G.modulus) for _, _, label in G.edges]
-    c = G.modulus or reduce(lcm, labels)
+    c = G.modulus or lcm(*labels)
     if c == 0:
         raise InternalInconsistency(
             "spline lattice is not full rank; was the graph normalized?"
@@ -164,14 +163,9 @@ def invariant_factors(G: EdgeLabeledGraph) -> SplineModule:
     B = integer_lattice(gnorm)
     res = snf(_scaled_inverse(B, m))
 
-    total = 1
-    for d in res.d:
-        total *= d
-    det_b = 1
-    for i in range(B.nrows):
-        det_b *= B.entries[i][i]
+    det_b = prod(B.entries[i][i] for i in range(B.nrows))
     # |L / m*Z^n| = m^n / det(B); the Smith diagonal must multiply to it.
-    if total * det_b != m**gnorm.n:
+    if prod(res.d) * det_b != m**gnorm.n:
         raise InternalInconsistency("Smith diagonal does not match lattice index")
 
     factors = []
@@ -248,21 +242,14 @@ def extension_analysis(
         )
     m = G.modulus
     incident = G_plus.incident(vi)
-    big_n = 1
-    for u, v, label in incident:
-        big_n = lcm(big_n, gcd(label, m))
+    big_n = lcm(*(gcd(label, m) for _, _, label in incident))
     if m:
         kernel_order = m // big_n  # the lcm of divisors of m divides m
+        base = invariant_factors(G)
+        generators = base.mgs
     else:
         kernel_order = 1 if big_n == 0 else None
-
-    if m == 1:
-        return ExtensionAnalysis(new_vertex, big_n, 1, True)
-
-    if m:
-        generators = invariant_factors(G).mgs
-    else:
-        generators, _ = pulled_back_lattice(G)
+        base = generators = pulled_back_lattice(G)[0]
 
     surjective = True
     for gen in generators:
@@ -273,4 +260,4 @@ def extension_analysis(
         if solve_congruences(system) is None:
             surjective = False
             break
-    return ExtensionAnalysis(new_vertex, big_n, kernel_order, surjective)
+    return ExtensionAnalysis(new_vertex, big_n, kernel_order, surjective, base)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
-from .arith import lcm
 from .errors import (
     InvalidModulus,
     LengthMismatch,

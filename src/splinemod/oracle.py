@@ -1,21 +1,29 @@
 """Brute-force ground truth at desk scale.
 
 Everything here is deliberately naive: splines are found by exhausting the
-full vertex-labeling space (with early pruning of prefixes that already
-violate an edge, which cannot lose solutions), spans are found by closure
-under addition, and invariant factors are reconstructed from an order
-census.  Nothing is shared with the lattice path, so agreement between the
-two is meaningful.
+full vertex-labeling space, spans are found by closure under addition, and
+invariant factors are reconstructed from an order census.  Nothing is shared
+with the lattice path, so agreement between the two is meaningful.
+
+Neither search does work twice.  The labeling search steps each vertex
+through the one residue class its tightest earlier edge allows and checks
+its other edges as usual; the closure adds whole cosets of the span so far.
+Both stay exhaustive: every spline is listed and every element of the span
+is built, each exactly once.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from collections import Counter
+from collections.abc import Collection, Set as AbstractSet
 from dataclasses import dataclass
-from math import gcd
+from functools import partial
+from math import gcd, lcm, prod
+from operator import add
 
-from .arith import additive_order, factorize, lcm
+from .arith import additive_order, factorize
 from .errors import BudgetExceeded, NotAGroup, SplineError
 from .graph import EdgeLabeledGraph
 
@@ -40,6 +48,13 @@ def enumerate_splines(
 ) -> list[tuple[int, ...]]:
     """All splines on G in lexicographic order.
 
+    Vertices are assigned in order, and each edge is checked as soon as
+    both ends are.  An edge uv with g = gcd(label, m) and u already set
+    admits at v exactly the x with x = f_u mod g; since g divides m, they
+    are range(f_u % g, m, g).  So v steps through that class for its tightest
+    earlier edge and tests the others: the search still lists every spline,
+    in the same depth-first order, but never tries a value that edge rejects.
+
     The search space is m**n; if that exceeds the budget the enumeration is
     refused outright (BudgetExceeded reports the required budget) rather than
     silently truncated.
@@ -53,31 +68,34 @@ def enumerate_splines(
         raise BudgetExceeded(required, cap)
     if m == 1:
         return [(0,) * n]
-    # Edges grouped by their later endpoint so each partial labeling is
-    # checked as soon as both ends are assigned.
+    # Edges grouped by their later endpoint, largest g first.  A vertex with
+    # no earlier neighbor steps by 1 through all of Z/m.
     constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, label in G.edges:
         a, b = (u, v) if u > v else (v, u)
-        g = gcd(label, m)
-        constraints[a].append((b, m if g == 0 else g))
+        constraints[a].append((b, gcd(label, m)))
+    first = []
+    for checks in constraints:
+        checks.sort(key=lambda c: -c[1])
+        first.append(checks.pop(0) if checks else (0, 1))
 
     out: list[tuple[int, ...]] = []
     values = [0] * n
+    last = n - 1
 
     def extend(k: int):
-        if k == n:
-            out.append(tuple(values))
-            return
+        prev, step = first[k]
         checks = constraints[k]
-        for x in range(m):
-            ok = True
+        for x in range(values[prev] % step, m, step):
             for other, g in checks:
                 if (values[other] - x) % g:
-                    ok = False
                     break
-            if ok:
+            else:
                 values[k] = x
-                extend(k + 1)
+                if k == last:
+                    out.append(tuple(values))
+                else:
+                    extend(k + 1)
 
     extend(0)
     return out
@@ -93,16 +111,20 @@ class ModuleFingerprint:
 
 
 def fingerprint(
-    splines: list[tuple[int, ...]], m: int, spot_checks: int = 64
+    splines: list[tuple[int, ...]],
+    m: int,
+    spot_checks: int = 64,
+    members: AbstractSet[tuple[int, ...]] | None = None,
 ) -> ModuleFingerprint:
     """Census the additive orders of a spline set and read off the module.
 
     The set must be closed under addition mod m; closure is spot-checked on
     random pairs (NotAGroup on failure), never assumed silently.
+    ``members`` is the set of the splines, if the caller already holds it.
     """
     if not splines:
         raise NotAGroup("empty set cannot be a module")
-    index = set(splines)
+    index = set(splines) if members is None else members
     n = len(splines[0])
     if (0,) * n not in index:
         raise NotAGroup("zero vector missing")
@@ -114,16 +136,10 @@ def fingerprint(
         if s not in index:
             raise NotAGroup(f"{a} + {b} leaves the set")
 
-    census: dict[int, int] = {}
-    for f in splines:
-        d = additive_order(f, m)
-        census[d] = census.get(d, 0) + 1
+    census = Counter(map(partial(additive_order, m=m), splines))
     factors = _factors_from_census(census, m)
     total = len(splines)
-    check = 1
-    for d in factors:
-        check *= d
-    if check != total:
+    if prod(factors) != total:
         raise NotAGroup(
             f"census of {total} elements is not consistent with a module"
         )
@@ -138,9 +154,7 @@ def _factors_from_census(census: dict[int, int], m: int) -> tuple[int, ...]:
     exponent profiles together (largest with largest) gives the divisibility
     chain.
     """
-    exponent = 1
-    for d in census:
-        exponent = lcm(exponent, d)
+    exponent = lcm(*census)
     if exponent == 1:
         return ()
     profiles: dict[int, list[int]] = {}
@@ -157,19 +171,14 @@ def _factors_from_census(census: dict[int, int], m: int) -> tuple[int, ...]:
             logs.append(lg)
         counts_ge = [logs[j] - logs[j - 1] for j in range(1, a + 1)]
         # counts_ge[j-1] = number of summands with valuation >= j
-        profile = []
-        for slot in range(counts_ge[0]):
-            val = sum(1 for c in counts_ge if c > slot)
-            profile.append(val)
-        profiles[p] = profile  # descending valuations
+        profiles[p] = [  # descending valuations
+            sum(1 for c in counts_ge if c > slot) for slot in range(counts_ge[0])
+        ]
     t = max(len(pr) for pr in profiles.values())
-    factors_desc = []
-    for slot in range(t):
-        d = 1
-        for p, pr in profiles.items():
-            if slot < len(pr):
-                d *= p ** pr[slot]
-        factors_desc.append(d)
+    factors_desc = [
+        prod(p ** pr[slot] for p, pr in profiles.items() if slot < len(pr))
+        for slot in range(t)
+    ]
     return tuple(reversed(factors_desc))
 
 
@@ -179,35 +188,49 @@ def span(
     n: int,
     budget: int | None = None,
 ) -> set[tuple[int, ...]]:
-    """Closure of the generators under addition mod m (includes zero)."""
+    """Closure of the generators under addition mod m (includes zero).
+
+    Grown one generator g at a time.  If S is the closure so far and k the
+    least k > 0 with k*g in S, the closure of S and g is the disjoint union
+    of the cosets S, S + g, ..., S + (k-1)*g; each coset is the previous one
+    shifted by g.  So every element is built exactly once, by one vector
+    addition, where a breadth-first search builds it once per generator.
+    It stays brute force: it uses only addition and membership, and builds
+    and stores every element.  For a budget of at least 1, BudgetExceeded
+    is raised exactly when the closure has more than ``budget`` elements,
+    before the coset that passes it is built.
+    """
     cap = resolve_budget(budget)
-    zero = (0,) * n
-    seen = {zero}
-    frontier = [zero]
-    gens = [tuple(g) for g in generators]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % m for a, b in zip(x, g))
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > cap:
-                        raise BudgetExceeded(len(seen), cap)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+    mod_m = m.__rmod__  # x -> x % m
+    closure = {(0,) * n}
+    for g in generators:
+        g = tuple(map(mod_m, g))
+        if g in closure:
+            continue
+        coset = list(closure)
+        size = len(coset)
+        multiple = g
+        while multiple not in closure:
+            if len(closure) + size > cap:
+                raise BudgetExceeded(len(closure) + size, cap)
+            coset = [tuple(map(mod_m, map(add, x, g))) for x in coset]
+            closure.update(coset)
+            multiple = tuple(map(mod_m, map(add, multiple, g)))
+    return closure
 
 
 def span_equals(
     generators: list[tuple[int, ...]],
-    splines: list[tuple[int, ...]],
+    splines: Collection[tuple[int, ...]],
     m: int,
     budget: int | None = None,
 ) -> bool:
-    """True iff the Z-span mod m of the generators is exactly the given set."""
+    """True iff the Z-span mod m of the generators is exactly the given set.
+
+    ``splines`` may be a list or a set; a set is compared as it stands.
+    """
     if not splines:
         return not generators
-    n = len(splines[0])
-    closure = span(generators, m, n, budget)
-    return closure == set(splines)
+    n = len(next(iter(splines)))
+    members = splines if isinstance(splines, AbstractSet) else set(splines)
+    return span(generators, m, n, budget) == members

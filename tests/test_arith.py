@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +7,6 @@ from splinemod.arith import (
     crt_combine,
     factorize,
     is_prime,
-    lcm,
     solve_congruences,
     xgcd,
 )

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from splinemod import cli
+from splinemod import cli, engine
 
 C21_TEXT = """\
 mod 21
@@ -184,6 +184,23 @@ class TestSolve:
         assert report["invariant_factors"] == [p * q, p * q]
         assert [c["prime_power"] for c in report["crt"]["components"]] == [p, q]
 
+    def test_verify_past_a_million_labelings(self, capsys, monkeypatch):
+        # m**n = 9**7 lies between 10**6 and the default budget of 10**7
+        monkeypatch.delenv("SPLINEMOD_BUDGET", raising=False)
+        path = str(GRAPHS / "n7_m9.graph")
+        start = time.perf_counter()
+        report = run_json(capsys, ["solve", path, "--verify"])
+        assert time.perf_counter() - start < 1.0
+        assert report["oracle"]["spline_count"] == report["order"] == 3**9
+        assert report["oracle"]["factors_match"] and report["oracle"]["mgs_spans"]
+
+    @pytest.mark.slow
+    def test_verify_at_the_default_budget(self, capsys, monkeypatch):
+        # m**n = 10**7, the default budget; about 3 s and 200 MB
+        monkeypatch.delenv("SPLINEMOD_BUDGET", raising=False)
+        report = run_json(capsys, ["solve", str(GRAPHS / "n7_m10.graph"), "--verify"])
+        assert report["oracle"]["spline_count"] == report["order"] == 625_000
+
     def test_human_output_mentions_factors(self, capsys, tri36):
         assert cli.main(["solve", tri36]) == 0
         out = capsys.readouterr().out
@@ -340,6 +357,26 @@ class TestExtend:
         assert report["incident_lcm"] == 4
         assert report["kernel_order"] == 3
         assert "base_module" in report and "extended_module" in report
+
+    @pytest.mark.parametrize(
+        "mod, solver", [(12, "invariant_factors"), (0, "pulled_back_lattice")]
+    )
+    def test_base_solved_once(self, capsys, tmp_path, monkeypatch, mod, solver):
+        base = tmp_path / "base.graph"
+        base.write_text(f"mod {mod}\nvertices a b\nedge a b 2\n")
+        ext = tmp_path / "ext.graph"
+        ext.write_text(f"mod {mod}\nvertices a b c\nedge a b 2\nedge b c 8\n")
+        solved = []
+        original = getattr(engine, solver)
+
+        def counting(G):
+            solved.append(G.vertices)
+            return original(G)
+
+        monkeypatch.setattr(engine, solver, counting)
+        monkeypatch.setattr(cli, solver, counting)
+        run_json(capsys, ["extend", str(base), str(ext), "c"])
+        assert solved == [("a", "b"), ("a", "b", "c")]
 
     def test_not_extension_exit(self, capsys, tmp_path):
         base = tmp_path / "base.graph"

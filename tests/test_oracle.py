@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 
@@ -138,3 +139,102 @@ class TestSpan:
     def test_empty_generators(self):
         assert span_equals([], [(0, 0)], 5)
         assert not span_equals([], [(0, 0), (1, 1)], 5)
+
+
+# Naive references, kept here only: the breadth-first closure, a filter over
+# every labeling, and the lcm of the entries' orders.
+
+
+def naive_span(generators, m, n):
+    zero = (0,) * n
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = tuple((a + b) % m for a, b in zip(x, g))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def naive_splines(G):
+    m = G.modulus
+    return [
+        f
+        for f in product(range(m), repeat=G.n)
+        if all((f[u] - f[v]) % gcd(label, m) == 0 for u, v, label in G.edges)
+    ]
+
+
+def naive_order(v, m):
+    order = 1
+    for x in v:
+        order = lcm(order, m // gcd(x, m))
+    return order
+
+
+def random_desk_graph(rng, limit):
+    """A random graph, not always connected, with m**n at most limit; labels
+    include zero and units."""
+    n = rng.randint(1, 6)
+    m = rng.choice([m for m in range(1, 61) if m**n <= limit])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+    edges = tuple((u, v, rng.randrange(m + 3)) for u, v in chosen)
+    return EdgeLabeledGraph(m, tuple(f"v{i}" for i in range(n)), edges)
+
+
+class TestAgainstNaiveReferences:
+    def test_enumerate_matches_filter(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            G = random_desk_graph(rng, 5 * 10**3)
+            assert enumerate_splines(G) == naive_splines(G), G
+
+    def test_span_matches_breadth_first_closure(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            G = random_desk_graph(rng, 5 * 10**3)
+            m, n = G.modulus, G.n
+            splines = enumerate_splines(G)
+            pool = [
+                rng.choice(splines),  # a spline
+                (0,) * n,  # zero
+                tuple(rng.randrange(-m, 2 * m) for _ in range(n)),  # any vector
+            ]
+            gens = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+            gens += gens[: rng.randint(0, len(gens))]  # repeats
+            expected = naive_span(gens, m, n)
+            assert span(gens, m, n) == expected, (G, gens)
+            assert span_equals(gens, splines, m) == (expected == set(splines))
+            assert span_equals(gens, set(splines), m) == (expected == set(splines))
+
+    def test_empty_generator_list(self):
+        assert span([], 7, 3) == naive_span([], 7, 3) == {(0, 0, 0)}
+
+    def test_budget_boundary(self):
+        rng = random.Random(13)
+        checked = 0
+        while checked < 60:
+            m, n = rng.randint(2, 12), rng.randint(1, 4)
+            gens = [tuple(rng.randrange(m) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            size = len(naive_span(gens, m, n))
+            if size < 2:
+                continue
+            assert len(span(gens, m, n, budget=size)) == size
+            with pytest.raises(BudgetExceeded):
+                span(gens, m, n, budget=size - 1)
+            checked += 1
+
+    def test_additive_order_matches_lcm_of_entry_orders(self):
+        rng = random.Random(14)
+        for _ in range(500):
+            m = rng.randint(1, 200)
+            v = tuple(rng.randint(-3 * m, 3 * m) for _ in range(rng.randint(0, 5)))
+            assert additive_order(v, m) == naive_order(v, m), (v, m)
+        assert additive_order((), 12) == naive_order((), 12) == 1
+        assert additive_order((-4, -6), 12) == naive_order((-4, -6), 12) == 6

@@ -40,7 +40,7 @@ from .graph import (
     parse_graph_json,
     spline_check,
 )
-from .matrix import IntMatrix, SnfResult, det, hnf, snf
+from .matrix import IntMatrix, hnf, snf
 from .oracle import (
     ModuleFingerprint,
     enumerate_splines,
@@ -60,7 +60,6 @@ __all__ = [
     "IntMatrix",
     "ModuleFingerprint",
     "NormalizationReport",
-    "SnfResult",
     "SplineModule",
     "additive_order",
     "build_rank_1",
@@ -68,7 +67,6 @@ __all__ = [
     "crt_combine",
     "cycle_instance",
     "decompose",
-    "det",
     "enumerate_splines",
     "extension_analysis",
     "factorize",

@@ -30,6 +30,7 @@ from .engine import (
     SplineModule,
     extension_analysis,
     invariant_factors,
+    normalized_module,
     pulled_back_lattice,
 )
 from .errors import (
@@ -119,13 +120,13 @@ def _solve_report(G: EdgeLabeledGraph, path: str, verify: bool, budget: int | No
         if verify:
             raise SplineError("--verify cannot enumerate an infinite module")
         return _integer_mode_report(G)
-    _, nreport = normalize(G)
+    gnorm, nreport = normalize(G)
     m = G.modulus
 
     direct = None
     crt_block = None
     if path in ("direct", "both"):
-        direct = invariant_factors(G)
+        direct = normalized_module(G, gnorm, nreport)
     # For a prime power the decomposition's one component is the input
     # itself, so a cross-check would only solve the same graph twice.
     run_crt = (path == "crt" and m >= 2) or (
@@ -154,7 +155,7 @@ def _solve_report(G: EdgeLabeledGraph, path: str, verify: bool, budget: int | No
         if direct is None:
             direct = dec.recombined
     if direct is None:
-        direct = invariant_factors(G)
+        direct = normalized_module(G, gnorm, nreport)
 
     report = {
         "instance": G.to_json_obj(),
@@ -280,75 +281,97 @@ def _extend_report(base: EdgeLabeledGraph, ext: EdgeLabeledGraph, vertex: str) -
     return report
 
 
-def _print_human(report: dict, out) -> None:
-    def vec(v):
-        return "(" + ", ".join(str(x) for x in v) + ")"
+def _vec(v) -> str:
+    return "(" + ", ".join(str(x) for x in v) + ")"
 
-    if "graph_file" in report:
-        out.write(report["graph_file"])
-        out.write(f"# target rank {report['target_rank']}, "
-                  f"verified rank {report['verified_rank']}\n")
-        return
-    inst = report.get("instance")
-    if inst:
-        out.write(f"modulus: {inst['mod']}\n")
-        out.write("vertices: " + " ".join(inst["vertices"]) + "\n")
-    if report.get("mode") == "integer-lattice":
-        out.write("integer lattice basis columns:\n")
-        for col in report["lattice_basis_columns"]:
-            out.write("  " + vec(col) + "\n")
-        return
-    if "pi_surjective" in report:
-        out.write(f"new vertex: {report['new_vertex']}\n")
-        out.write(f"incident label lcm: {report['incident_lcm']}\n")
-        out.write(f"kernel order: {report['kernel_order']}\n")
-        out.write(f"restriction surjective: {report['pi_surjective']}\n")
-        for key in ("base_module", "extended_module"):
-            if key in report:
-                mod = report[key]
-                out.write(
-                    f"{key.replace('_', ' ')}: factors "
-                    f"{tuple(mod['invariant_factors'])}, rank {mod['rank']}\n"
-                )
-        for key in ("base_lattice_basis", "extended_lattice_basis"):
-            if key in report:
-                cols = ", ".join(vec(c) for c in report[key])
-                out.write(f"{key.replace('_', ' ')}: {cols}\n")
-        return
-    if report.get("note"):
-        out.write(f"note: {report['note']}\n")
+
+def _print_instance(report: dict, out) -> None:
+    inst = report["instance"]
+    out.write(f"modulus: {inst['mod']}\n")
+    out.write("vertices: " + " ".join(inst["vertices"]) + "\n")
+
+
+def _print_module(report: dict, out) -> None:
     out.write(f"invariant factors: {tuple(report['invariant_factors'])}\n")
     out.write(f"rank: {report['rank']}\n")
     out.write(f"module order: {report['order']}\n")
-    gens = report.get("generating_set")
-    if gens:
-        out.write(
-            f"generating set ({gens['provenance']}, "
-            f"{'minimum' if gens['minimum'] else 'not minimum'}"
-        )
-        if gens.get("rotation"):
-            out.write(f", rotated by {gens['rotation']}")
-        out.write("):\n")
-        for v, o in zip(gens["splines"], gens["orders"]):
-            out.write(f"  {vec(v)}  order {o}\n")
-    else:
-        out.write("minimum generating set (largest order first):\n")
-        for v in report["display_generating_set"]:
-            out.write("  " + vec(v) + "\n")
-        if report.get("flow_up_generators"):
-            out.write("flow-up generators:\n")
-            for v in report["flow_up_generators"]:
-                out.write("  " + vec(v) + "\n")
-    crt = report.get("crt")
+
+
+def _print_solve(report: dict, out) -> None:
+    _print_instance(report, out)
+    if report["mode"] == "integer-lattice":
+        out.write("integer lattice basis columns:\n")
+        for col in report["lattice_basis_columns"]:
+            out.write("  " + _vec(col) + "\n")
+        return
+    _print_module(report, out)
+    out.write("minimum generating set (largest order first):\n")
+    for v in report["display_generating_set"]:
+        out.write("  " + _vec(v) + "\n")
+    if report["flow_up_generators"]:
+        out.write("flow-up generators:\n")
+        for v in report["flow_up_generators"]:
+            out.write("  " + _vec(v) + "\n")
+    crt = report["crt"]
     if crt:
         parts = ", ".join(
             f"mod {c['prime_power']}: {tuple(c['invariant_factors'])}"
             for c in crt["components"]
         )
         out.write(f"crt components: {parts}\n")
-    oracle = report.get("oracle")
-    if oracle:
-        out.write(f"oracle: {oracle}\n")
+    if report["oracle"]:
+        out.write(f"oracle: {report['oracle']}\n")
+
+
+def _print_cycle(report: dict, out) -> None:
+    _print_instance(report, out)
+    if report["note"]:
+        out.write(f"note: {report['note']}\n")
+    _print_module(report, out)
+    gens = report["generating_set"]
+    out.write(
+        f"generating set ({gens['provenance']}, "
+        f"{'minimum' if gens['minimum'] else 'not minimum'}"
+    )
+    if gens["rotation"]:
+        out.write(f", rotated by {gens['rotation']}")
+    out.write("):\n")
+    for v, o in zip(gens["splines"], gens["orders"]):
+        out.write(f"  {_vec(v)}  order {o}\n")
+    if report["oracle"]:
+        out.write(f"oracle: {report['oracle']}\n")
+
+
+def _print_construct(report: dict, out) -> None:
+    out.write(report["graph_file"])
+    out.write(f"# target rank {report['target_rank']}, "
+              f"verified rank {report['verified_rank']}\n")
+
+
+def _print_extend(report: dict, out) -> None:
+    out.write(f"new vertex: {report['new_vertex']}\n")
+    out.write(f"incident label lcm: {report['incident_lcm']}\n")
+    out.write(f"kernel order: {report['kernel_order']}\n")
+    out.write(f"restriction surjective: {report['pi_surjective']}\n")
+    if "base_module" in report:
+        for key in ("base_module", "extended_module"):
+            mod = report[key]
+            out.write(
+                f"{key.replace('_', ' ')}: factors "
+                f"{tuple(mod['invariant_factors'])}, rank {mod['rank']}\n"
+            )
+    else:
+        for key in ("base_lattice_basis", "extended_lattice_basis"):
+            cols = ", ".join(_vec(c) for c in report[key])
+            out.write(f"{key.replace('_', ' ')}: {cols}\n")
+
+
+_PRINTERS = {
+    "solve": _print_solve,
+    "cycle": _print_cycle,
+    "construct": _print_construct,
+    "extend": _print_extend,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        _print_human(report, sys.stdout)
+        _PRINTERS[args.command](report, sys.stdout)
     return 0
 
 

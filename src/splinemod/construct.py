@@ -28,9 +28,6 @@ class BuildStep:
 
 @dataclass(frozen=True)
 class ConstructionRecipe:
-    target_rank: int
-    n: int
-    modulus: int
     coprime_split: tuple[int, ...]
     steps: tuple[BuildStep, ...]
 
@@ -89,7 +86,7 @@ def build_rank_k(n: int, m: int, k: int) -> tuple[EdgeLabeledGraph, Construction
             )
         )
     graph = EdgeLabeledGraph(m, tuple(names), tuple(edges))
-    return graph, ConstructionRecipe(k, n, m, (n1, n2), tuple(steps))
+    return graph, ConstructionRecipe((n1, n2), tuple(steps))
 
 
 def _k4_base(m: int, n1: int, n2: int) -> list[tuple[int, int, int]]:
@@ -161,7 +158,7 @@ def build_rank_1(n: int, m: int) -> tuple[EdgeLabeledGraph, ConstructionRecipe]:
             )
         )
     graph = EdgeLabeledGraph(m, tuple(names), tuple(edges))
-    return graph, ConstructionRecipe(1, n, m, (n1, n2), tuple(steps))
+    return graph, ConstructionRecipe((n1, n2), tuple(steps))
 
 
 def sharpness_check(G: EdgeLabeledGraph) -> tuple[int, ...]:

@@ -9,22 +9,27 @@ finite quotient L / m*Z^n.  Everything follows from normal forms:
 
 * a triangular (flow-up) basis B of L, built from the dual lattice.
   Because m*Z^n lies in L, the dual L^* lies between Z^n and (1/m)*Z^n,
-  so m*L^* is an integer lattice, spanned by the columns m*e_i and
-  (m/g_e)(e_u - e_v) whose entries never exceed m.  Its Hermite form H
-  gives B = m*H^{-T} exactly, and a second Hermite form makes B canonical;
+  so m*L^* is the integer lattice spanned by the columns (m/g_e)(e_u - e_v)
+  together with m*Z^n.  Its Hermite form H gives B = m*H^{-T} exactly, and
+  a second Hermite form makes B canonical;
 * the Smith normal form of m*B^{-1} (an integer matrix), whose diagonal is
   the invariant-factor chain of the quotient and whose right transform hands
   back a minimum generating set.
 
 In integer mode (m = 0) L contains M*Z^n for M the lcm of the labels, and
-the same construction runs with M in place of m.  Working over Z and
-reducing at the end avoids normal forms over Z/mZ, which is not a domain.
+the same construction runs with M in place of m.  Z/mZ is not a domain, so
+the normal forms are taken over Z, but each lattice here contains c*Z^n
+(c = m or M) and the answer is read mod m.  So the reduction happens inside
+the normal forms: ``hnf`` keeps the entries below its current row in
+[0, c), and ``snf`` keeps its right transform mod m.  The Smith diagonal
+itself stays exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import mul
 
 from .arith import solve_congruences
 from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
@@ -85,8 +90,8 @@ def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
 
     Built from the dual lattice.  With c = m (in integer mode, the lcm of
     the labels) every g_e divides c, so c*Z^n lies in L and c*L^* lies in
-    Z^n: it is the integer lattice spanned by the columns c*e_i and
-    (c/g_e)(e_u - e_v).  Its Hermite form H, taken with the vertex rows in
+    Z^n: it is the integer lattice spanned by the columns (c/g_e)(e_u - e_v)
+    together with c*Z^n.  Its Hermite form H, taken with the vertex rows in
     reverse so that H is upper triangular in vertex order, gives
     L = c*H^{-T}: an exact, lower triangular basis (integral because L lies
     in Z^n), which one more Hermite form makes canonical.
@@ -100,19 +105,17 @@ def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
         raise InternalInconsistency(
             "spline lattice is not full rank; was the graph normalized?"
         )
-    columns = [[c if i == k else 0 for i in range(n)] for k in range(n)]
+    columns = []
     for (u, v, _), g in zip(G.edges, labels):
         col = [0] * n
         col[u], col[v] = c // g, -(c // g)
-        columns.append(col)
+        columns.append(col[::-1])
     # With the vertex rows in reverse the echelon form is lower triangular
     # in reverse vertex order; reversing its rows and columns back gives H,
     # upper triangular in vertex order, and its rows are the columns of H^T.
-    reverse = hnf(IntMatrix.from_columns([col[::-1] for col in columns]))
-    lower = IntMatrix.from_columns(
-        [row[n - 1 :: -1] for row in reversed(reverse.entries)]
-    )
-    return hnf(_scaled_inverse(lower, c))
+    reverse = hnf(IntMatrix.from_columns(columns), c)
+    lower = IntMatrix.from_columns([row[::-1] for row in reversed(reverse.entries)])
+    return hnf(_scaled_inverse(lower, c), c)
 
 
 def pulled_back_lattice(
@@ -135,9 +138,9 @@ def _scaled_inverse(B: IntMatrix, m: int) -> IntMatrix:
     E = B.entries
     cols = []
     for j in range(n):
-        x = [0] * n
-        for i in range(n):
-            s = (m if i == j else 0) - sum(E[i][k] * x[k] for k in range(i))
+        x = [0] * n  # B is lower triangular, so x vanishes above row j
+        for i in range(j, n):
+            s = (m if i == j else 0) - sum(map(mul, E[i][j:i], x[j:i]))
             q, r = divmod(s, E[i][i])
             if r:
                 raise InternalInconsistency("lattice does not contain m*Z^n")
@@ -152,27 +155,34 @@ def invariant_factors(G: EdgeLabeledGraph) -> SplineModule:
     Normalization is applied internally; all returned vectors live on the
     original vertex set (values are pulled back through vertex merges).
     """
+    return normalized_module(G, *normalize(G))
+
+
+def normalized_module(
+    G: EdgeLabeledGraph, gnorm: EdgeLabeledGraph, report: NormalizationReport
+) -> SplineModule:
+    """``invariant_factors(G)`` for a caller that already holds
+    ``(gnorm, report) = normalize(G)``."""
     m = G.modulus
     if m == 0:
         raise InvalidModulus(
             "invariant factors are only defined for a finite modulus"
         )
-    gnorm, report = normalize(G)
     if m == 1:
         return SplineModule(1, (), (), (), (1,) * gnorm.n)
     B = integer_lattice(gnorm)
-    res = snf(_scaled_inverse(B, m))
+    d, V = snf(_scaled_inverse(B, m), m)
 
     det_b = prod(B.entries[i][i] for i in range(B.nrows))
     # |L / m*Z^n| = m^n / det(B); the Smith diagonal must multiply to it.
-    if prod(res.d) * det_b != m**gnorm.n:
+    if prod(d) * det_b != m**gnorm.n:
         raise InternalInconsistency("Smith diagonal does not match lattice index")
 
     factors = []
     mgs_norm = []
-    for j, dj in enumerate(res.d):
+    for j, dj in enumerate(d):
         if dj > 1:
-            col = res.V.column(j)
+            col = V.column(j)
             mgs_norm.append(tuple((m // dj) * x % m for x in col))
             factors.append(dj)
     flow_norm = []
@@ -186,7 +196,7 @@ def invariant_factors(G: EdgeLabeledGraph) -> SplineModule:
     for vec in mgs + flow_up:
         if not spline_check(G, vec):
             raise InternalInconsistency(f"generated vector {vec} fails an edge condition")
-    return SplineModule(m, tuple(factors), mgs, flow_up, res.d)
+    return SplineModule(m, tuple(factors), mgs, flow_up, d)
 
 
 def flow_up_generators(G: EdgeLabeledGraph) -> list[tuple[int, ...]]:

@@ -1,22 +1,25 @@
-"""Exact integer matrices and their normal forms.
+"""Exact integer matrices and the two normal forms the engine reads.
 
-The two workhorses are the column-style Hermite normal form (triangular
-lattice bases) and the Smith normal form (invariant factors).  Conventions
-are fixed once and for all so outputs are deterministic:
+Z/mZ is not a domain, so the engine works over Z and reduces at the end.
+Each normal form here computes only what that answer reads, and keeps its
+entries bounded while doing so:
 
-* ``hnf`` uses column operations only and produces a lower-triangular form
-  with positive pivots; in each pivot row the entries left of the pivot are
-  reduced into ``[0, pivot)``.  With rows indexed by an ordered vertex list
-  this makes basis columns directly usable as flow-up vectors.
-* ``snf`` always pivots on a minimal-absolute-value nonzero entry, breaking
-  ties by (row, col) lexicographic order.
+* ``hnf(A, c)`` is the column-style Hermite normal form of the lattice
+  spanned by the columns of A together with c*Z^n: the n x n lower-triangular
+  basis with positive pivots whose entries left of each pivot lie in
+  [0, pivot).  With rows indexed by an ordered vertex list its columns are
+  flow-up vectors.  Every entry below the row being processed stays in
+  [0, c).
+* ``snf(A, m)`` returns ``(d, V)``: the Smith diagonal d of A over Z, and a
+  right transform V reduced mod m, such that U*A*V = diag(d) for some
+  unimodular U, read mod m.  It pivots on a minimal-absolute-value nonzero
+  entry, breaking ties by (row, col) lexicographic order.
 
-All arithmetic is exact; matrices are immutable.
+Matrices are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arith import xgcd
@@ -60,20 +63,6 @@ class IntMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.ncols)]
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = other.ncols
-        return IntMatrix(
-            [
-                [
-                    sum(a * other.entries[k][j] for k, a in enumerate(row))
-                    for j in range(cols)
-                ]
-                for row in self.entries
-            ]
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.entries == other.entries
 
@@ -87,187 +76,127 @@ class IntMatrix:
         return [list(r) for r in self.entries]
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form: U @ A @ V == diag(d) with U, V unimodular.
+def hnf(A: IntMatrix, c: int) -> IntMatrix:
+    """Hermite basis of the lattice spanned by A's columns and c*Z^n.
+
+    Row r is processed by folding every remaining column into a pivot column
+    that starts as c*e_r, then reducing the finished columns in row r into
+    [0, pivot).  The column c*e_i is never touched before row i, so adding a
+    multiple of it is a unimodular column operation until then: every entry
+    below the current row may be replaced by its residue mod c.  The Hermite
+    basis is unique, so these reductions do not change it.
+    """
+    n = A.nrows
+    if n == 0 or c < 1:
+        raise ValueError("hnf requires at least one row and a positive c")
+    # Columns not yet folded into a pivot; at row r each holds its rows r
+    # onward, with entries in [0, c).
+    active = [[x % c for x in col] for col in A.columns()]
+    done: list[list[int]] = []  # finished pivot columns, full height
+    for r in range(n):
+        p = [0] * (n - r)
+        p[0] = c
+        rest = []
+        for col in active:
+            b = col[0]
+            if b:
+                a = p[0]
+                if b % a:
+                    g, x, y = xgcd(a, b)
+                    s, t = b // g, a // g
+                    p, col = (
+                        [(x * u + y * v) % c for u, v in zip(p, col)],
+                        [(t * v - s * u) % c for u, v in zip(p, col)],
+                    )
+                else:
+                    q = b // a
+                    col = [(v - q * u) % c for u, v in zip(p, col)]
+            del col[0]  # row r is zero now
+            if any(col):
+                rest.append(col)
+        active = rest
+        h = p[0]
+        tail = p[1:]
+        for col in done:
+            q = col[r] // h
+            if q:
+                col[r] -= q * h
+                col[r + 1 :] = [(v - q * u) % c for u, v in zip(tail, col[r + 1 :])]
+        done.append([0] * r + p)
+    return IntMatrix.from_columns(done)
+
+
+def _min_abs_pivot(S: list[list[int]], t: int) -> tuple[int, int] | None:
+    """(row, col) of the first entry, in row-major order, of least nonzero
+    absolute value in the block of rows and columns t onward."""
+    best = None
+    for i in range(t, len(S)):
+        row = list(map(abs, S[i][t:]))
+        low = min(filter(None, row), default=0)
+        if low and (best is None or low < best[0]):
+            best = (low, i, t + row.index(low))
+            if low == 1:
+                break
+    return None if best is None else best[1:]
+
+
+def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
+    """Smith diagonal d of A and a right transform V reduced mod m.
 
     The diagonal is nonnegative, consecutive nonzero entries divide each
-    other, and zeros trail.
+    other, and zeros trail.  The row operations of the elimination are not
+    recorded; every column operation is applied to V mod m as it is made.
     """
-
-    d: tuple[int, ...]
-    U: IntMatrix
-    V: IntMatrix
-
-
-def _apply_col_2x2(M: list[list[int]], j1: int, j2: int, a: int, b: int, c: int, e: int):
-    """Columns (j1, j2) <- (a*j1 + b*j2, c*j1 + e*j2)."""
-    for row in M:
-        x, y = row[j1], row[j2]
-        row[j1] = a * x + b * y
-        row[j2] = c * x + e * y
-
-
-def _scale_col(M: list[list[int]], j: int, s: int):
-    for row in M:
-        row[j] *= s
-
-
-def _add_col_multiple(M: list[list[int]], dst: int, src: int, q: int):
-    for row in M:
-        row[dst] += q * row[src]
-
-
-def hnf(A: IntMatrix) -> IntMatrix:
-    """Column-style Hermite normal form H of A: same column lattice.
-
-    H is in column echelon form, lower-triangular with respect to the row
-    order: pivots are positive and strictly descend the rows as columns
-    advance, and in each pivot row the entries left of the pivot lie in
-    [0, pivot).  Non-pivot columns (beyond the rank) are zero.
-    """
-    if A.nrows == 0 or A.ncols == 0:
-        raise ValueError("hnf requires at least one row and one column")
-    rows, cols = A.nrows, A.ncols
-    H = A.to_lists()
-    pivot = 0
-    for r in range(rows):
-        if pivot >= cols:
-            break
-        # Fold all entries of row r right of the pivot column into the pivot
-        # via unimodular 2x2 column transforms (extended gcd).
-        for j in range(pivot + 1, cols):
-            if H[r][j] == 0:
-                continue
-            a, b = H[r][pivot], H[r][j]
-            g, x, y = xgcd(a, b)
-            _apply_col_2x2(H, pivot, j, x, y, -(b // g), a // g)
-        if H[r][pivot] == 0:
-            continue  # row has no pivot; move to the next row, same column
-        if H[r][pivot] < 0:
-            _scale_col(H, pivot, -1)
-        p = H[r][pivot]
-        for j in range(pivot):
-            q = H[r][j] // p  # floor division leaves a remainder in [0, p)
-            if q:
-                _add_col_multiple(H, j, pivot, -q)
-        pivot += 1
-    return IntMatrix(H)
-
-
-def _min_abs_pivot(S: list[list[int]], t: int, rows: int, cols: int):
-    best = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            v = S[i][j]
-            if v != 0 and (best is None or abs(v) < abs(best[0])):
-                best = (v, i, j)
-    return best
-
-
-def snf(A: IntMatrix) -> SnfResult:
-    """Smith normal form with deterministic minimal-pivot selection."""
-    if A.nrows == 0 or A.ncols == 0:
-        raise ValueError("snf requires a nonempty matrix")
+    if A.nrows == 0 or A.ncols == 0 or m < 1:
+        raise ValueError("snf requires a nonempty matrix and a positive m")
     rows, cols = A.nrows, A.ncols
     S = A.to_lists()
-    U = IntMatrix.identity(rows).to_lists()
-    V = IntMatrix.identity(cols).to_lists()
-
-    def swap_rows(i1, i2):
-        if i1 != i2:
-            S[i1], S[i2] = S[i2], S[i1]
-            U[i1], U[i2] = U[i2], U[i1]
-
-    def swap_cols(j1, j2):
-        if j1 != j2:
-            for M in (S, V):
-                for row in M:
-                    row[j1], row[j2] = row[j2], row[j1]
-
-    def add_row_multiple(dst, src, q):
-        S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+    V = [[1 % m if i == j else 0 for i in range(cols)] for j in range(cols)]  # by column
 
     t = 0
     while t < min(rows, cols):
-        found = _min_abs_pivot(S, t, rows, cols)
+        found = _min_abs_pivot(S, t)
         if found is None:
             break
         while True:
-            _, pi, pj = found
-            swap_rows(t, pi)
-            swap_cols(t, pj)
+            pi, pj = found
+            S[t], S[pi] = S[pi], S[t]
+            if pj != t:
+                for row in S:
+                    row[t], row[pj] = row[pj], row[t]
+                V[t], V[pj] = V[pj], V[t]
             p = S[t][t]
             dirty = False
             for i in range(t + 1, rows):
                 if S[i][t]:
-                    add_row_multiple(i, t, -(S[i][t] // p))
+                    q = S[i][t] // p
+                    S[i] = [a - q * b for a, b in zip(S[i], S[t])]
                     dirty = dirty or S[i][t] != 0
+            vt = V[t]
+            live = [row for row in S if row[t]]  # the rest are zero in column t
             for j in range(t + 1, cols):
                 if S[t][j]:
                     q = S[t][j] // p
                     if q:
-                        _add_col_multiple(S, j, t, -q)
-                        _add_col_multiple(V, j, t, -q)
+                        for row in live:
+                            row[j] -= q * row[t]
+                        V[j] = [(a - q * b) % m for a, b in zip(V[j], vt)]
                     dirty = dirty or S[t][j] != 0
             if not dirty:
                 # Pivot is alone in its row and column; enforce divisibility
                 # of the remaining submatrix before locking it in.
-                offender = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if S[i][j] % p != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
+                offender = next(
+                    (i for i in range(t + 1, rows)
+                     for j in range(t + 1, cols) if S[i][j] % p),
+                    None,
+                )
                 if offender is None:
                     break
-                add_row_multiple(t, offender, 1)
-            found = _min_abs_pivot(S, t, rows, cols)
+                S[t] = [a + b for a, b in zip(S[t], S[offender])]
+            found = _min_abs_pivot(S, t)
         if S[t][t] < 0:
             S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
         t += 1
 
     d = tuple(S[i][i] for i in range(min(rows, cols)))
-    return SnfResult(d, IntMatrix(U), IntMatrix(V))
-
-
-def det(A: IntMatrix) -> int:
-    """Exact determinant via Bareiss fraction-free elimination."""
-    n = A.nrows
-    if n != A.ncols:
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    M = A.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def column_lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
-    """True iff the columns of A and of B span the same integer lattice."""
-    if A.nrows != B.nrows:
-        return False
-    ha = hnf(A)
-    hb = hnf(B)
-    nza = [c for c in ha.columns() if any(c)]
-    nzb = [c for c in hb.columns() if any(c)]
-    return nza == nzb
+    return d, IntMatrix.from_columns(V)

@@ -113,13 +113,12 @@ class ModuleFingerprint:
 def fingerprint(
     splines: list[tuple[int, ...]],
     m: int,
-    spot_checks: int = 64,
     members: AbstractSet[tuple[int, ...]] | None = None,
 ) -> ModuleFingerprint:
     """Census the additive orders of a spline set and read off the module.
 
     The set must be closed under addition mod m; closure is spot-checked on
-    random pairs (NotAGroup on failure), never assumed silently.
+    64 random pairs (NotAGroup on failure), never assumed silently.
     ``members`` is the set of the splines, if the caller already holds it.
     """
     if not splines:
@@ -129,7 +128,7 @@ def fingerprint(
     if (0,) * n not in index:
         raise NotAGroup("zero vector missing")
     rng = random.Random(0xC0FFEE)
-    for _ in range(min(spot_checks, len(splines) ** 2)):
+    for _ in range(min(64, len(splines) ** 2)):
         a = rng.choice(splines)
         b = rng.choice(splines)
         s = tuple((x + y) % m for x, y in zip(a, b))

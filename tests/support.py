@@ -1,11 +1,14 @@
-"""Shared helpers for the test suite: deterministic random instances."""
+"""Shared helpers for the test suite: deterministic random instances and
+reference normal forms."""
 
 from __future__ import annotations
 
 import random
 from math import gcd
 
+from splinemod.arith import xgcd
 from splinemod.graph import EdgeLabeledGraph
+from splinemod.matrix import IntMatrix
 
 
 def nonunit_labels(m: int) -> list[int]:
@@ -48,3 +51,178 @@ def random_cycle(rng: random.Random, n: int, m: int, labels: list[int]) -> EdgeL
         (i, (i + 1) % n, rng.choice(labels)) for i in range(n)
     )
     return EdgeLabeledGraph(m, names, edges)
+
+
+# Reference normal forms: the unbounded textbook algorithms, kept here to
+# check the bounded ones in ``splinemod.matrix`` against.
+
+
+def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    if A.ncols != B.nrows:
+        raise ValueError("dimension mismatch")
+    return IntMatrix(
+        [
+            [sum(a * B.entries[k][j] for k, a in enumerate(row)) for j in range(B.ncols)]
+            for row in A.entries
+        ]
+    )
+
+
+def det(A: IntMatrix) -> int:
+    """Exact determinant via Bareiss fraction-free elimination."""
+    n = A.nrows
+    if n != A.ncols:
+        raise ValueError("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    M = A.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k] != 0:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def _apply_col_2x2(M, j1, j2, a, b, c, e):
+    """Columns (j1, j2) <- (a*j1 + b*j2, c*j1 + e*j2)."""
+    for row in M:
+        x, y = row[j1], row[j2]
+        row[j1] = a * x + b * y
+        row[j2] = c * x + e * y
+
+
+def _add_col_multiple(M, dst, src, q):
+    for row in M:
+        row[dst] += q * row[src]
+
+
+def reference_hnf(A: IntMatrix) -> IntMatrix:
+    """Column-style Hermite normal form of A over Z, entries unbounded.
+
+    Lower-triangular with respect to the row order, positive pivots, entries
+    left of a pivot in [0, pivot), zero columns beyond the rank.
+    """
+    rows, cols = A.nrows, A.ncols
+    H = A.to_lists()
+    pivot = 0
+    for r in range(rows):
+        if pivot >= cols:
+            break
+        for j in range(pivot + 1, cols):
+            if H[r][j] == 0:
+                continue
+            a, b = H[r][pivot], H[r][j]
+            g, x, y = xgcd(a, b)
+            _apply_col_2x2(H, pivot, j, x, y, -(b // g), a // g)
+        if H[r][pivot] == 0:
+            continue
+        if H[r][pivot] < 0:
+            for row in H:
+                row[pivot] = -row[pivot]
+        p = H[r][pivot]
+        for j in range(pivot):
+            q = H[r][j] // p
+            if q:
+                _add_col_multiple(H, j, pivot, -q)
+        pivot += 1
+    return IntMatrix(H)
+
+
+def with_scaled_identity(A: IntMatrix, c: int) -> IntMatrix:
+    """[A | c*I]: the columns of A followed by c*e_i for every row i."""
+    n = A.nrows
+    return IntMatrix(
+        [list(row) + [c if i == k else 0 for k in range(n)] for i, row in enumerate(A.entries)]
+    )
+
+
+def reference_snf(A: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    """Smith form (d, U, V) over Z with U @ A @ V == diag(d), U and V
+    unimodular, pivoting on a minimal-absolute-value entry, ties broken by
+    (row, col) order."""
+    rows, cols = A.nrows, A.ncols
+    S = A.to_lists()
+    U = IntMatrix.identity(rows).to_lists()
+    V = IntMatrix.identity(cols).to_lists()
+
+    def swap_rows(i1, i2):
+        S[i1], S[i2] = S[i2], S[i1]
+        U[i1], U[i2] = U[i2], U[i1]
+
+    def swap_cols(j1, j2):
+        for M in (S, V):
+            for row in M:
+                row[j1], row[j2] = row[j2], row[j1]
+
+    def add_row_multiple(dst, src, q):
+        S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
+        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+
+    def min_abs_pivot(t):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = S[i][j]
+                if v != 0 and (best is None or abs(v) < abs(best[0])):
+                    best = (v, i, j)
+        return best
+
+    t = 0
+    while t < min(rows, cols):
+        found = min_abs_pivot(t)
+        if found is None:
+            break
+        while True:
+            _, pi, pj = found
+            swap_rows(t, pi)
+            swap_cols(t, pj)
+            p = S[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if S[i][t]:
+                    add_row_multiple(i, t, -(S[i][t] // p))
+                    dirty = dirty or S[i][t] != 0
+            for j in range(t + 1, cols):
+                if S[t][j]:
+                    q = S[t][j] // p
+                    if q:
+                        _add_col_multiple(S, j, t, -q)
+                        _add_col_multiple(V, j, t, -q)
+                    dirty = dirty or S[t][j] != 0
+            if not dirty:
+                offender = next(
+                    (i for i in range(t + 1, rows)
+                     for j in range(t + 1, cols) if S[i][j] % p),
+                    None,
+                )
+                if offender is None:
+                    break
+                add_row_multiple(t, offender, 1)
+            found = min_abs_pivot(t)
+        if S[t][t] < 0:
+            S[t] = [-x for x in S[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
+    d = tuple(S[i][i] for i in range(min(rows, cols)))
+    return d, IntMatrix(U), IntMatrix(V)
+
+
+def column_lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
+    """True iff the columns of A and of B span the same integer lattice."""
+    if A.nrows != B.nrows:
+        return False
+    nza = [c for c in reference_hnf(A).columns() if any(c)]
+    nzb = [c for c in reference_hnf(B).columns() if any(c)]
+    return nza == nzb

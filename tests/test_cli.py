@@ -201,6 +201,40 @@ class TestSolve:
         report = run_json(capsys, ["solve", str(GRAPHS / "n7_m10.graph"), "--verify"])
         assert report["oracle"]["spline_count"] == report["order"] == 625_000
 
+    @pytest.mark.slow
+    def test_direct_path_at_n350(self, capsys):
+        # 25-34 s and 32 MB on a shared 2-core Xeon
+        path = str(GRAPHS / "n350_e1400_m30030.graph")
+        start = time.perf_counter()
+        direct = run_json(capsys, ["solve", path, "--direct"])
+        assert time.perf_counter() - start < 60.0
+        crt = run_json(capsys, ["solve", path, "--crt"])
+        assert direct["invariant_factors"] == crt["invariant_factors"]
+        assert direct["rank"] == 246
+
+    @pytest.mark.parametrize(
+        "text", [TRI36_TEXT, "mod 64\nvertices a b c\nedge a b 4\nedge b c 8\n"]
+    )
+    def test_input_normalized_once(self, capsys, tmp_path, monkeypatch, text):
+        # the CLI's report and the engine share one normalization; the
+        # cross-check normalizes each prime-power component on its own
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        moduli = []
+        original = engine.normalize
+
+        def counting(G):
+            moduli.append(G.modulus)
+            return original(G)
+
+        monkeypatch.setattr(engine, "normalize", counting)
+        monkeypatch.setattr(cli, "normalize", counting)
+        report = run_json(capsys, ["solve", str(path)])
+        m = report["instance"]["mod"]
+        components = report["crt"]["components"] if report["crt"] else []
+        assert moduli.count(m) == 1
+        assert sorted(moduli) == sorted([m] + [c["prime_power"] for c in components])
+
     def test_human_output_mentions_factors(self, capsys, tri36):
         assert cli.main(["solve", tri36]) == 0
         out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from splinemod.engine import (
 )
 from splinemod.errors import InvalidModulus, NotAnExtension
 from splinemod.graph import EdgeLabeledGraph, load_graph, normalize, spline_check
-from splinemod.matrix import IntMatrix, column_lattices_equal
+from splinemod.matrix import IntMatrix
 from splinemod.oracle import (
     additive_order,
     enumerate_splines,
@@ -22,7 +22,7 @@ from splinemod.oracle import (
     span,
     span_equals,
 )
-from support import random_connected_graph
+from support import column_lattices_equal, random_connected_graph
 
 Z6_PATH = EdgeLabeledGraph(6, ("v1", "v2", "v3"), ((0, 1, 2), (0, 2, 3)))
 TRI36 = EdgeLabeledGraph(36, ("v1", "v2", "v3"), ((0, 1, 30), (0, 2, 18), (1, 2, 12)))

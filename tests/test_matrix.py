@@ -1,7 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splinemod.matrix import IntMatrix, det, hnf, snf
+from splinemod import engine
+from splinemod.graph import normalize
+from splinemod.matrix import IntMatrix, hnf, snf
+from support import (
+    det,
+    matmul,
+    random_connected_graph,
+    reference_hnf,
+    reference_snf,
+    with_scaled_identity,
+)
 
 
 def small_matrices(max_dim=4, max_entry=30):
@@ -16,10 +28,18 @@ def small_matrices(max_dim=4, max_entry=30):
     ).map(IntMatrix)
 
 
-def diag_of(M: IntMatrix):
-    return tuple(
-        M.entries[i][i] if i < M.ncols else 0 for i in range(min(M.nrows, M.ncols))
-    )
+moduli = st.sampled_from([1, 2, 3, 4, 6, 12, 30, 36, 64, 210])
+
+
+def reference_lattice_hnf(A: IntMatrix, c: int) -> IntMatrix:
+    """The reference Hermite form of [A | c*I], cut to its n nonzero columns."""
+    H = reference_hnf(with_scaled_identity(A, c))
+    assert not any(x for row in H.entries for x in row[A.nrows :])
+    return IntMatrix([row[: A.nrows] for row in H.entries])
+
+
+def reduced(M: IntMatrix, m: int) -> IntMatrix:
+    return IntMatrix([[x % m for x in row] for row in M.entries])
 
 
 def is_lower_echelon(H: IntMatrix) -> bool:
@@ -77,7 +97,7 @@ class TestIntMatrix:
 
     def test_matmul_identity(self):
         A = IntMatrix([[1, 2], [3, 4]])
-        assert A @ IntMatrix.identity(2) == A
+        assert matmul(A, IntMatrix.identity(2)) == A
 
     def test_from_columns_roundtrip(self):
         A = IntMatrix([[1, 2], [3, 4], [5, 6]])
@@ -90,12 +110,13 @@ class TestIntMatrix:
 
 class TestHnf:
     def test_identity(self):
-        assert hnf(IntMatrix.identity(2)) == IntMatrix.identity(2)
+        assert hnf(IntMatrix.identity(2), 5) == IntMatrix.identity(2)
 
     def test_2x2_determinant_preserved(self):
-        # columns (2,4) and (3,5): |det| = 2 survives into the triangular form
+        # columns (2,4) and (3,5): |det| = 2, so the lattice contains 2*Z^2
+        # and |det| survives into the triangular form
         A = IntMatrix.from_columns([(2, 4), (3, 5)])
-        H = hnf(A)
+        H = hnf(A, 2)
         assert abs(det(H)) == abs(det(A)) == 2
         assert is_lower_echelon(H)
         assert spans_same_lattice(A, H)
@@ -103,10 +124,10 @@ class TestHnf:
     def test_two_vertex_lattice(self):
         # generators (1,1) and (2,0) of {f : 2 | f1 - f2}
         A = IntMatrix.from_columns([(1, 1), (2, 0)])
-        assert hnf(A).columns() == [(1, 1), (0, 2)]
+        assert hnf(A, 2).columns() == [(1, 1), (0, 2)]
 
     def test_pivot_reduction(self):
-        H = hnf(IntMatrix([[4, 7], [0, 3]]))
+        H = hnf(IntMatrix([[4, 7], [0, 3]]), 12)
         # pivot row 0 first: entries left of later pivots reduced into [0, pivot)
         assert is_lower_echelon(H)
         for i in range(2):
@@ -115,17 +136,49 @@ class TestHnf:
             for j in range(i):
                 assert 0 <= H.entries[i][j] < p
 
+    def test_no_columns_gives_c_identity(self):
+        assert hnf(IntMatrix([[], []]), 6).columns() == [(6, 0), (0, 6)]
+
     @settings(max_examples=150)
-    @given(small_matrices())
-    def test_factorization_and_shape(self, A):
-        H = hnf(A)
-        assert H.nrows == A.nrows and H.ncols == A.ncols
+    @given(small_matrices(), moduli)
+    def test_factorization_and_shape(self, A, c):
+        H = hnf(A, c)
+        assert H.nrows == H.ncols == A.nrows
         assert is_lower_echelon(H)
+        assert all(H.entries[i][i] > 0 and c % H.entries[i][i] == 0 for i in range(H.nrows))
 
     @settings(max_examples=100)
-    @given(small_matrices())
-    def test_column_span_preserved(self, A):
-        assert spans_same_lattice(A, hnf(A))
+    @given(small_matrices(), moduli)
+    def test_column_span_preserved(self, A, c):
+        assert spans_same_lattice(with_scaled_identity(A, c), hnf(A, c))
+
+    @settings(max_examples=200)
+    @given(small_matrices(max_dim=5, max_entry=500), moduli)
+    def test_matches_reference(self, A, c):
+        assert hnf(A, c) == reference_lattice_hnf(A, c)
+
+    def test_matches_reference_on_dual_matrices(self, monkeypatch):
+        # Both Hermite forms of the engine's lattice construction, recorded
+        # on random graphs mod m and in integer mode (c the lcm of the labels).
+        calls = []
+
+        def recording(A, c):
+            H = hnf(A, c)
+            calls.append((A, c, H))
+            return H
+
+        monkeypatch.setattr(engine, "hnf", recording)
+        rng = random.Random(41)
+        for _ in range(80):
+            m = rng.choice([0, 0, 12, 30, 36, 64, 210, 2310])
+            labels = list(range(2, 40)) if m == 0 else None
+            G = random_connected_graph(
+                rng, rng.randrange(2, 9), m, rng.randrange(8), labels
+            )
+            engine.integer_lattice(normalize(G)[0])
+        assert {c for _, c, _ in calls} > {12, 30, 36, 64, 210, 2310}
+        for A, c, H in calls:
+            assert H == reference_lattice_hnf(A, c)
 
     def test_span_check_detects_a_sublattice(self):
         A = IntMatrix.from_columns([(1, 0), (0, 1)])
@@ -134,49 +187,69 @@ class TestHnf:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            hnf(IntMatrix([]))
+            hnf(IntMatrix([]), 5)
+        with pytest.raises(ValueError):
+            hnf(IntMatrix.identity(2), 0)
 
 
 class TestSnf:
     def test_diag_6_4(self):
         # d1 = gcd of the entries, d1*d2 = |det| = 24
-        res = snf(IntMatrix([[6, 0], [0, 4]]))
-        assert res.d == (2, 12)
+        d, _ = snf(IntMatrix([[6, 0], [0, 4]]), 24)
+        assert d == (2, 12)
 
     def test_zero_matrix(self):
-        res = snf(IntMatrix([[0, 0], [0, 0]]))
-        assert res.d == (0, 0)
+        d, V = snf(IntMatrix([[0, 0], [0, 0]]), 5)
+        assert d == (0, 0)
+        assert V == IntMatrix.identity(2)
 
     def test_already_smith(self):
-        res = snf(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 36]]))
-        assert res.d == (1, 1, 36)
+        d, _ = snf(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 36]]), 36)
+        assert d == (1, 1, 36)
 
     def test_rectangular(self):
-        res = snf(IntMatrix([[2, 4, 6]]))
-        assert res.d == (2,)
-        assert res.U @ IntMatrix([[2, 4, 6]]) @ res.V == IntMatrix([[2, 0, 0]])
+        A = IntMatrix([[2, 4, 6]])
+        d, V = snf(A, 7)
+        assert d == (2,)
+        ref_d, U, ref_V = reference_snf(A)
+        assert ref_d == d and V == reduced(ref_V, 7)
+        assert matmul(matmul(U, A), ref_V) == IntMatrix([[2, 0, 0]])
 
     @settings(max_examples=150)
     @given(small_matrices())
     def test_invariants(self, A):
-        res = snf(A)
-        S = res.U @ A @ res.V
+        d, U, V = reference_snf(A)
+        S = matmul(matmul(U, A), V)
         for i in range(A.nrows):
             for j in range(A.ncols):
-                expect = res.d[i] if i == j and i < len(res.d) else 0
+                expect = d[i] if i == j and i < len(d) else 0
                 assert S.entries[i][j] == expect
-        assert abs(det(res.U)) == 1
-        assert abs(det(res.V)) == 1
-        nonzero = [x for x in res.d if x]
+        assert abs(det(U)) == 1
+        assert abs(det(V)) == 1
+        nonzero = [x for x in d if x]
         assert all(x > 0 for x in nonzero)
-        assert res.d[: len(nonzero)] == tuple(nonzero)  # zeros trail
+        assert d[: len(nonzero)] == tuple(nonzero)  # zeros trail
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
 
+    @settings(max_examples=200)
+    @given(small_matrices(max_dim=5, max_entry=500), moduli)
+    def test_matches_reference(self, A, m):
+        d, V = snf(A, m)
+        ref_d, _, ref_V = reference_snf(A)
+        assert d == ref_d
+        assert V == reduced(ref_V, m)
+
     @settings(max_examples=50)
-    @given(small_matrices())
-    def test_deterministic(self, A):
-        assert snf(A) == snf(A)
+    @given(small_matrices(), moduli)
+    def test_deterministic(self, A, m):
+        assert snf(A, m) == snf(A, m)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            snf(IntMatrix([]), 5)
+        with pytest.raises(ValueError):
+            snf(IntMatrix.identity(2), 0)
 
 
 class TestDet:
@@ -191,4 +264,4 @@ class TestDet:
         if A.nrows != A.ncols:
             return
         B = IntMatrix.identity(A.nrows)
-        assert det(A @ B) == det(A)
+        assert det(matmul(A, B)) == det(A)

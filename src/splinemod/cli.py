@@ -281,6 +281,30 @@ def _extend_report(base: EdgeLabeledGraph, ext: EdgeLabeledGraph, vertex: str) -
     return report
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)`` for a report (string keys).
+
+    ``indent`` is the newline and indentation before the closing bracket.  A
+    list of plain ints, the bulk of a report, is written with one join; every
+    other leaf goes through ``json.dumps``.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (json.dumps(k) + ": " + _json_text(v, inner) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(str, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
+
+
 def _vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
@@ -442,8 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
     if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_text(report) + "\n")
     else:
         _PRINTERS[args.command](report, sys.stdout)
     return 0

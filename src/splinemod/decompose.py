@@ -2,7 +2,10 @@
 
 A mod-m problem splits along the prime powers of m: reduce every edge label
 mod q = p**k, solve each reduced graph, then glue the per-component answers
-back together entrywise with the Chinese Remainder Theorem.  The glued
+back together with the Chinese Remainder Theorem.  The gluing uses the CRT
+idempotents: for each q the unique e_q in [0, m) with e_q = 1 mod q and
+e_q = 0 mod m/q.  A vector whose reductions mod each q are g_q is then
+sum_q e_q * g_q mod m, computed a whole vector at a time.  The glued
 factors must equal what the direct lattice computation produces; both paths
 are exercised against each other in the tests and by the CLI cross-check.
 """
@@ -11,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import add
 
 from .arith import crt_combine, factorize
 from .engine import SplineModule, invariant_factors
-from .errors import InternalInconsistency, InvalidModulus, NotADivisor
+from .errors import InternalInconsistency, InvalidModulus, NonCoprimeModuli, NotADivisor
 from .graph import EdgeLabeledGraph, spline_check
 
 
@@ -55,38 +59,49 @@ def decompose(G: EdgeLabeledGraph) -> Decomposition:
 def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> SplineModule:
     """Glue component generating sets into a mod-m minimum generating set.
 
-    Each component's generators are sorted by descending order and the j-th
-    ones are CRT-combined entrywise, so the j-th glued generator accumulates
-    the j-th largest order from every component; missing slots contribute the
-    zero labeling.  The glued orders then form the invariant-factor chain.
+    Each component's generators are sorted by descending order, and the j-th
+    glued generator is sum_q e_q * g_q mod m over the components' j-th
+    generators g_q, where e_q is the CRT idempotent of q (1 mod q, 0 mod
+    m/q).  Entry by entry this is the unique residue in [0, m) that reduces
+    to g_q mod every q.  A component with fewer generators contributes the
+    zero labeling to the missing slots, so the j-th glued generator
+    accumulates the j-th largest order from every component and the glued
+    orders form the invariant-factor chain.  Every glued vector is checked
+    against the edge conditions of G.
     """
     m = G.modulus
-    if prod(comp.prime_power for comp in components) != m:
+    moduli = [comp.prime_power for comp in components]
+    if not components or prod(moduli) != m:
         raise InternalInconsistency("components do not cover the modulus")
-    n = G.n
-    zero = (0,) * n
+    try:
+        # crt_combine checks that the prime powers are pairwise coprime
+        idempotents = [
+            crt_combine([(int(q == r), r) for r in moduli]) for q in moduli
+        ]
+    except NonCoprimeModuli as exc:
+        raise InternalInconsistency(f"component moduli {moduli}: {exc}") from None
+    mod_m = m.__rmod__  # x -> x % m
     # (order, generator) lists, largest order first; mgs is stored ascending.
     stacks = [
         list(zip(comp.module.invariant_factors, comp.module.mgs))[::-1]
         for comp in components
     ]
-    width = max(len(s) for s in stacks)
     glued: list[tuple[int, tuple[int, ...]]] = []
-    for j in range(width):
-        vec = []
-        for i in range(n):
-            residues = []
-            for comp, stack in zip(components, stacks):
-                gen = stack[j][1] if j < len(stack) else zero
-                residues.append((gen[i], comp.prime_power))
-            vec.append(crt_combine(residues))
-        order = prod(stack[j][0] for stack in stacks if j < len(stack))
-        vec_t = tuple(vec)
-        if not spline_check(G, vec_t):
+    for j in range(max(map(len, stacks))):
+        order = 1
+        total = None
+        for e, stack in zip(idempotents, stacks):
+            if j < len(stack):
+                factor, gen = stack[j]
+                order *= factor
+                term = map(e.__mul__, gen)
+                total = term if total is None else map(add, total, term)
+        vec = tuple(map(mod_m, total))
+        if not spline_check(G, vec):
             raise InternalInconsistency(
-                f"recombined vector {vec_t} fails an edge condition"
+                f"recombined vector {vec} fails an edge condition"
             )
-        glued.append((order, vec_t))
+        glued.append((order, vec))
     glued.reverse()  # ascending orders
     factors = tuple(order for order, _ in glued)
     for a, b in zip(factors, factors[1:]):

@@ -27,26 +27,39 @@ Edge = tuple[int, int, int]  # (u index, v index, label)
 
 @dataclass(frozen=True)
 class EdgeLabeledGraph:
+    """A graph over Z/mZ; ``modulus == 0`` is integer mode.
+
+    Besides the three fields, each graph keeps ``conditions``: one
+    ``(u, v, g)`` per edge with g = gcd(label, m), the modulus of the edge
+    condition (0 forces equality).  It is derived from the fields, so it
+    takes no part in equality, hashing or ``repr``.
+    """
+
     modulus: int
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.modulus < 0:
-            raise InvalidModulus(f"modulus {self.modulus} is negative")
+        m = self.modulus
+        if m < 0:
+            raise InvalidModulus(f"modulus {m} is negative")
         if not self.vertices:
             raise InvalidModulus("graph needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise ParseError("duplicate vertex names")
         n = len(self.vertices)
         canon = []
+        conditions = []
         for u, v, label in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise UnknownVertex(f"edge ({u}, {v}) references a missing vertex")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {self.vertices[u]}")
-            canon.append((u, v, label % self.modulus if self.modulus else abs(label)))
+            label = label % m if m else abs(label)
+            canon.append((u, v, label))
+            conditions.append((u, v, gcd(label, m)))
         object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "conditions", tuple(conditions))
 
     @property
     def n(self) -> int:
@@ -220,21 +233,15 @@ def spline_check(G: EdgeLabeledGraph, values) -> bool:
     """True iff the vertex labeling satisfies every edge condition.
 
     The condition on edge (u, v, label) is that f[u] - f[v] lies in the ideal
-    generated by the label; concretely gcd(label, m) divides the difference
-    (label 0 forcing equality).
+    generated by the label; concretely g = gcd(label, m) divides the
+    difference (g = 0, an integer-mode label 0, forcing equality).  Since g
+    divides m, the difference need not be reduced mod m first.
     """
     if len(values) != G.n:
         raise LengthMismatch(f"expected {G.n} values, got {len(values)}")
-    m = G.modulus
-    for u, v, label in G.edges:
+    for u, v, g in G.conditions:
         diff = values[u] - values[v]
-        if m:
-            diff %= m
-        g = gcd(label, m)
-        if g == 0:
-            if diff != 0:
-                return False
-        elif diff % g != 0:
+        if diff % g if g else diff:
             return False
     return True
 

@@ -32,15 +32,23 @@ _ENV_BUDGET = "SPLINEMOD_BUDGET"
 
 
 def resolve_budget(budget: int | None = None) -> int:
+    """The enumeration budget: the argument, else the environment, else the
+    default.  A negative or non-integer budget is an input error; a budget
+    of 0 admits no enumeration."""
     if budget is not None:
+        if budget < 0:
+            raise SplineError(f"budget {budget} is negative")
         return budget
     env = os.environ.get(_ENV_BUDGET)
     if env is None:
         return DEFAULT_BUDGET
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
         raise SplineError(f"{_ENV_BUDGET}={env!r} is not an integer") from None
+    if value < 0:
+        raise SplineError(f"{_ENV_BUDGET}={env!r} is negative")
+    return value
 
 
 def enumerate_splines(

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from splinemod.arith import xgcd
+from splinemod.arith import crt_combine, xgcd
 from splinemod.graph import EdgeLabeledGraph
 from splinemod.matrix import IntMatrix
 
@@ -226,3 +226,42 @@ def column_lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
     nza = [c for c in reference_hnf(A).columns() if any(c)]
     nzb = [c for c in reference_hnf(B).columns() if any(c)]
     return nza == nzb
+
+
+# Reference gluing and edge check: the entry-by-entry forms that
+# ``decompose.recombine`` and ``graph.spline_check`` replaced.
+
+
+def reference_glued_vectors(components, G: EdgeLabeledGraph) -> list[tuple[int, ...]]:
+    """The glued generators, largest order first, one crt_combine per entry.
+
+    The j-th generators of the components, sorted by descending order, are
+    combined entry by entry; a component without a j-th generator
+    contributes the zero labeling.
+    """
+    stacks = [list(comp.module.mgs)[::-1] for comp in components]
+    zero = (0,) * G.n
+    glued = []
+    for j in range(max(len(s) for s in stacks)):
+        glued.append(tuple(
+            crt_combine([
+                ((stack[j] if j < len(stack) else zero)[i], comp.prime_power)
+                for comp, stack in zip(components, stacks)
+            ])
+            for i in range(G.n)
+        ))
+    return glued
+
+
+def reference_spline_check(G: EdgeLabeledGraph, values) -> bool:
+    """True iff every edge condition holds, with gcd(label, m) taken per edge
+    and the difference reduced mod m first."""
+    m = G.modulus
+    for u, v, label in G.edges:
+        diff = values[u] - values[v]
+        if m:
+            diff %= m
+        g = gcd(label, m)
+        if (diff != 0) if g == 0 else (diff % g != 0):
+            return False
+    return True

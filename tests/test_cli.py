@@ -1,3 +1,4 @@
+import importlib
 import json
 import pathlib
 import subprocess
@@ -5,8 +6,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from splinemod import cli, engine
+from splinemod.arith import Factorization
 
 C21_TEXT = """\
 mod 21
@@ -242,14 +245,30 @@ class TestSolve:
         assert "rank: 2" in out
 
     def test_report_schema_frozen(self, capsys, tri36):
-        # byte-stable against the checked-in golden file, modulo whitespace
-        # (both sides re-serialized with sorted keys)
-        report = run_json(capsys, ["solve", tri36])
-        golden_path = pathlib.Path(__file__).parent / "golden" / "tri36_solve.json"
-        golden = json.loads(golden_path.read_text())
-        assert json.dumps(report, indent=2, sort_keys=True) == json.dumps(
-            golden, indent=2, sort_keys=True
+        # byte-stable against the checked-in golden file, which holds the
+        # report with sorted keys; the layout itself is pinned by TestJsonOutput
+        assert cli.main(["solve", tri36, "--json"]) == 0
+        out = capsys.readouterr().out
+        golden = (GOLDEN / "tri36_solve.json").read_text()
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == golden
+
+    def test_non_coprime_components_exit_4(self, capsys, tri36, monkeypatch):
+        # a decomposition whose prime powers share a factor is a defect
+        monkeypatch.setattr(
+            importlib.import_module("splinemod.decompose"),
+            "factorize",
+            lambda m: Factorization(((2, 2), (3, 1), (3, 1))),
         )
+        assert cli.main(["solve", tri36, "--crt"]) == 4
+        assert "not pairwise coprime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "cycle"])
+    def test_negative_budget_flag_is_input_error(self, capsys, c21, command):
+        assert cli.main([command, c21, "--verify", "--budget", "-5"]) == 2
+        assert "budget -5 is negative" in capsys.readouterr().err
+
+    def test_zero_budget_admits_nothing(self, capsys, tri36):
+        assert cli.main(["solve", tri36, "--verify", "--budget", "0"]) == 3
 
 
 class TestCycle:
@@ -430,6 +449,64 @@ class TestEnvBudget:
         monkeypatch.setenv("SPLINEMOD_BUDGET", "xyz")
         assert cli.main(["solve", tri36, "--verify"]) == 2
         assert "SPLINEMOD_BUDGET" in capsys.readouterr().err
+
+    def test_negative_env_budget_is_input_error(self, capsys, tri36, monkeypatch):
+        monkeypatch.setenv("SPLINEMOD_BUDGET", "-5")
+        assert cli.main(["solve", tri36, "--verify"]) == 2
+        assert "SPLINEMOD_BUDGET='-5' is negative" in capsys.readouterr().err
+
+    def test_zero_env_budget_admits_nothing(self, capsys, tri36, monkeypatch):
+        monkeypatch.setenv("SPLINEMOD_BUDGET", "0")
+        assert cli.main(["solve", tri36, "--verify"]) == 3
+
+
+_JSON_TEXT = st.text(
+    st.sampled_from('a\u00e9\u20ac\U0001f600"\\/\n\t\x00\x1f\x7f '), max_size=6
+) | st.text(max_size=6)
+_JSON_INT = st.integers(min_value=-(2**70), max_value=2**70)
+_JSON_LEAF = _JSON_INT | st.booleans() | st.none() | _JSON_TEXT
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF | st.lists(_JSON_INT),
+    lambda inner: st.lists(inner) | st.dictionaries(_JSON_TEXT, inner),
+    max_leaves=25,
+)
+
+
+class TestJsonOutput:
+    """``--json`` prints exactly ``json.dumps(report, indent=2)`` and a newline."""
+
+    @given(_JSON_VALUE)
+    @example([1, True, None, [2, -3], [], {}, 2**64 + 1])
+    @example({"a": [[0, 1], [2]], "b\"\u00e9": {"": []}, "c": (4, 5)})
+    def test_writer_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{tri36}"],
+            ["solve", "{tri36}", "--crt"],
+            ["solve", "{tri36}", "--verify"],
+            ["solve", "{int}"],
+            ["cycle", "{c21}"],
+            ["construct", "4", "6", "1"],
+            ["extend", "{base}", "{ext}", "c"],
+        ],
+        ids=["solve", "solve-crt", "solve-verify", "solve-integer", "cycle", "construct", "extend"],
+    )
+    def test_stdout_is_indented_dump(self, capsys, tmp_path, tri36, c21, argv):
+        files = {"tri36": tri36, "c21": c21}
+        for name, text in (
+            ("int", "mod 0\nvertices a b c\nedge a b 2\nedge b c 0\n"),
+            ("base", "mod 12\nvertices a b\nedge a b 2\n"),
+            ("ext", "mod 12\nvertices a b c\nedge a b 2\nedge b c 8\n"),
+        ):
+            path = tmp_path / f"{name}.graph"
+            path.write_text(text)
+            files[name] = str(path)
+        assert cli.main([a.format(**files) for a in argv] + ["--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestInputErrors:

@@ -1,13 +1,14 @@
 import random
+from math import prod
 
 import pytest
 
 from splinemod.decompose import ComponentSolution, decompose, recombine, reduce_graph
 from splinemod.engine import SplineModule, invariant_factors
-from splinemod.errors import InvalidModulus, NotADivisor
+from splinemod.errors import InternalInconsistency, InvalidModulus, NotADivisor
 from splinemod.graph import EdgeLabeledGraph, spline_check
 from splinemod.oracle import enumerate_splines, fingerprint, span_equals
-from support import random_connected_graph
+from support import random_connected_graph, reference_glued_vectors
 
 TRI36 = EdgeLabeledGraph(36, ("v1", "v2", "v3"), ((0, 1, 30), (0, 2, 18), (1, 2, 12)))
 C21 = EdgeLabeledGraph(
@@ -111,6 +112,64 @@ class TestRecombine:
         assert by_q == {4: 1, 3: 2}
         assert dec.recombined.rank == 2
         assert dec.recombined.invariant_factors == invariant_factors(G).invariant_factors
+
+
+class TestRecombineByIdempotents:
+    # moduli with 2, 3 and 4 prime powers
+    MODULI = (12, 36, 200, 30, 60, 180, 1050, 210, 420, 2520, 7560)
+
+    def test_matches_entrywise_crt(self):
+        rng = random.Random(53)
+        uneven = 0
+        for trial in range(60):
+            m = self.MODULI[trial % len(self.MODULI)]
+            G = random_connected_graph(
+                rng, rng.randrange(2, 9), m, extra_edges=rng.randrange(4),
+                labels=list(range(m)),
+            )
+            dec = decompose(G)
+            ranks = {len(c.module.mgs) for c in dec.components}
+            uneven += len(ranks) > 1
+            reference = reference_glued_vectors(dec.components, G)
+            assert list(dec.recombined.mgs) == reference[::-1]
+        assert uneven >= 10  # missing slots glue as zero
+
+    def test_unreduced_component_entries(self):
+        # entries outside [0, q), negative ones too, glue to the same residue
+        comp4 = ComponentSolution(
+            4, reduce_graph(TRI36, 4),
+            SplineModule(4, (2, 4), ((-2, 4, 8), (5, -3, 1)), (), (2, 4)),
+        )
+        comp9 = ComponentSolution(
+            9, reduce_graph(TRI36, 9),
+            SplineModule(9, (9,), ((10, -8, 1),), (), (9,)),
+        )
+        glued = recombine([comp4, comp9], TRI36)
+        assert list(glued.mgs) == reference_glued_vectors([comp4, comp9], TRI36)[::-1]
+        assert glued.mgs == ((18, 0, 0), (1, 1, 1))
+
+    def _component(self, q, G):
+        return ComponentSolution(q, G, SplineModule(q, (q,), ((1, 1, 1),), (), (q,)))
+
+    @pytest.mark.parametrize(
+        "moduli, message",
+        [
+            ((2, 2), "not pairwise coprime"),
+            ((4, 9, 1, 1, 3), "not pairwise coprime"),
+            ((6, 6), "not pairwise coprime"),
+            ((-4, -9), "not positive"),  # the product is m = 36
+        ],
+        ids=["shared-prime", "repeated-prime", "shared-composite", "negative"],
+    )
+    def test_non_coprime_components(self, moduli, message):
+        G = EdgeLabeledGraph(prod(moduli), TRI36.vertices, ())
+        with pytest.raises(InternalInconsistency, match=message):
+            recombine([self._component(q, G) for q in moduli], G)
+
+    @pytest.mark.parametrize("moduli", [(4,), (4, 3), (), (4, 9, 5)])
+    def test_components_not_covering_modulus(self, moduli):
+        with pytest.raises(InternalInconsistency, match="do not cover"):
+            recombine([self._component(q, TRI36) for q in moduli], TRI36)
 
 
 class TestTwoPathsAgree:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 
@@ -18,7 +19,7 @@ from splinemod.graph import (
     parse_graph_json,
     spline_check,
 )
-from support import random_connected_graph
+from support import random_connected_graph, reference_spline_check
 
 SIX_CYCLE = """\
 # six-cycle, labels alternate between the two prime blocks
@@ -126,6 +127,27 @@ class TestJsonMirror:
             parse_graph_json('{"mod": 6}')
 
 
+class TestEdgeConditions:
+    def test_moduli_stored_per_edge(self):
+        G = EdgeLabeledGraph(12, ("a", "b", "c"), ((0, 1, 14), (1, 2, 0), (0, 2, -9)))
+        assert G.edges == ((0, 1, 2), (1, 2, 0), (0, 2, 3))
+        assert G.conditions == ((0, 1, 2), (1, 2, 12), (0, 2, 3))
+        Z = EdgeLabeledGraph(0, ("a", "b"), ((0, 1, -6), (0, 1, 0)))
+        assert Z.conditions == ((0, 1, 6), (0, 1, 0))
+
+    def test_equality_hash_and_repr_unchanged(self):
+        A = EdgeLabeledGraph(12, ("a", "b"), ((0, 1, 14),))
+        B = EdgeLabeledGraph(12, ("a", "b"), ((0, 1, 2),))
+        C = EdgeLabeledGraph(12, ("a", "b"), ((0, 1, 10),))  # same gcd, other label
+        assert A == B and hash(A) == hash(B)
+        assert A != C and A.conditions == C.conditions
+        assert repr(A) == (
+            "EdgeLabeledGraph(modulus=12, vertices=('a', 'b'), edges=((0, 1, 2),))"
+        )
+        assert [f.name for f in dataclasses.fields(A)] == ["modulus", "vertices", "edges"]
+        assert dataclasses.replace(A, modulus=4).conditions == ((0, 1, 2),)
+
+
 class TestVertexOrder:
     def test_reorder(self):
         G = parse_graph("mod 6\nvertices a b c\nedge a b 2\nedge b c 3\n")
@@ -163,8 +185,45 @@ class TestSplineCheck:
 
     def test_length_mismatch(self):
         G = parse_graph(SIX_CYCLE)
-        with pytest.raises(LengthMismatch):
-            spline_check(G, (1, 2, 3))
+        for values in ((1, 2, 3), (0,) * 7):
+            with pytest.raises(LengthMismatch):
+                spline_check(G, values)
+
+    def test_integer_mode_zero_label_is_exact_equality(self):
+        G = EdgeLabeledGraph(0, ("a", "b", "c"), ((0, 1, 0), (1, 2, 3)))
+        assert spline_check(G, (5, 5, 2))
+        assert spline_check(G, (-7, -7, -1))
+        assert not spline_check(G, (5, -5, 2))
+        assert not spline_check(G, (5, 6, 3))
+        assert not spline_check(G, (5, 5, 3))
+
+    def test_modulus_one_accepts_everything(self):
+        G = EdgeLabeledGraph(1, ("a", "b"), ((0, 1, 0), (0, 1, 5)))
+        assert spline_check(G, (0, 0))
+        assert spline_check(G, (-3, 10**30))
+
+    def test_negative_and_out_of_range_values(self):
+        G = EdgeLabeledGraph(12, ("a", "b", "c"), ((0, 1, 4), (1, 2, 0)))
+        assert spline_check(G, (-4, 0, 12))  # 0 = 12 mod 12
+        assert spline_check(G, (13, 1, -11))  # 13 - 1 = 12, 1 = -11 mod 12
+        assert spline_check(G, (-1, 11, -1))
+        assert not spline_check(G, (13, 2, 2))
+        assert not spline_check(G, (0, 0, 6))
+
+    def test_matches_reference_on_unreduced_values(self):
+        rng = random.Random(19)
+        for m in (0, 1, 2, 6, 12, 36, 30):
+            labels = list(range(-2 * m - 3, 2 * m + 4))
+            for _ in range(20):
+                G = random_connected_graph(rng, rng.randrange(2, 6), m, labels=labels)
+                for _ in range(30):
+                    # mostly near-splines, so that both answers occur
+                    base = rng.randrange(-50, 50)
+                    values = [
+                        base + rng.choice((0, m, -m, rng.randrange(-3 * m - 5, 3 * m + 6)))
+                        for _ in range(G.n)
+                    ]
+                    assert spline_check(G, values) == reference_spline_check(G, values)
 
     def test_matches_brute_force(self):
         rng = random.Random(7)

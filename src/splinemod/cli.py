@@ -122,16 +122,16 @@ def _solve_report(G: EdgeLabeledGraph, path: str, verify: bool, budget: int | No
         return _integer_mode_report(G)
     gnorm, nreport = normalize(G)
     m = G.modulus
-
-    direct = None
-    crt_block = None
-    if path in ("direct", "both"):
-        direct = normalized_module(G, gnorm, nreport)
     # For a prime power the decomposition's one component is the input
     # itself, so a cross-check would only solve the same graph twice.
     run_crt = (path == "crt" and m >= 2) or (
         path == "both" and len(factorize(m).pairs) >= 2
     )
+    if run_crt and path == "crt":
+        direct = None  # the recombined module stands in
+    else:
+        direct = normalized_module(G, gnorm, nreport)
+    crt_block = None
     if run_crt:
         dec = decompose(G)
         crt_block = {
@@ -145,17 +145,13 @@ def _solve_report(G: EdgeLabeledGraph, path: str, verify: bool, budget: int | No
             ],
             **_module_json(dec.recombined),
         }
-        if direct is not None and (
-            direct.invariant_factors != dec.recombined.invariant_factors
-        ):
+        if direct is None:
+            direct = dec.recombined
+        elif direct.invariant_factors != dec.recombined.invariant_factors:
             raise InternalInconsistency(
                 f"direct path factors {direct.invariant_factors} != "
                 f"recombined factors {dec.recombined.invariant_factors}"
             )
-        if direct is None:
-            direct = dec.recombined
-    if direct is None:
-        direct = normalized_module(G, gnorm, nreport)
 
     report = {
         "instance": G.to_json_obj(),

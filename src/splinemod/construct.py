@@ -12,7 +12,7 @@ coprime split of m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .arith import Factorization, factorize
 from .errors import InfeasibleParameters, InternalInconsistency, InvalidModulus
@@ -173,11 +173,11 @@ def sharpness_check(G: EdgeLabeledGraph) -> tuple[int, ...]:
         raise InfeasibleParameters(
             f"sharpness witness applies to moduli with exactly two primes, not {m}"
         )
-    if G.n != 3 or len(G.edges) != 3 or any(G.degree(v) != 2 for v in range(3)):
+    if G.n != 3 or any(len(G.incident(v)) != 2 for v in range(3)):
         raise InfeasibleParameters("sharpness witness applies to 3-cycles")
     for v in range(3):
-        d = lcm(*(gcd(label, m) for _, _, label in G.incident(v)))
-        if d % m:
+        d = lcm(*(g for _, _, g in G.incident(v)))
+        if d != m:
             witness = tuple(d if i == v else 0 for i in range(3))
             if not spline_check(G, witness):
                 raise InternalInconsistency(

@@ -20,6 +20,7 @@ from math import gcd, lcm
 from .arith import additive_order, factorize
 from .errors import (
     HypothesisViolated,
+    InternalInconsistency,
     NotACycle,
     NotConnected,
     NotPowerFamily,
@@ -43,8 +44,9 @@ class GeneratingSet:
 class CycleInstance:
     """A cycle in the conventional indexing: edge i joins positions i, i+1 mod n.
 
-    ``order[p]`` is the original vertex index at cycle position p; labels are
-    gcd-reduced.  Positions follow the graph's vertex order where possible.
+    ``order[p]`` is the original vertex index at cycle position p; ``labels``
+    are the edge moduli from ``graph.conditions``, with the zero ideal
+    written 0.  Positions follow the graph's vertex order where possible.
     """
 
     graph: EdgeLabeledGraph
@@ -85,9 +87,9 @@ def cycle_instance(G: EdgeLabeledGraph) -> CycleInstance:
     if n < 3 or len(G.edges) != n:
         raise NotACycle(f"expected an n-cycle, got {n} vertices and {len(G.edges)} edges")
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for u, v, label in G.edges:
-        adj[u].append((v, label))
-        adj[v].append((u, label))
+    for u, v, g in G.conditions:
+        adj[u].append((v, g))
+        adj[v].append((u, g))
     if any(len(nb) != 2 for nb in adj.values()):
         raise NotACycle("every vertex of a cycle has exactly two neighbors")
     # Walk from v1 toward its lower-indexed neighbor (deterministic).
@@ -97,15 +99,14 @@ def cycle_instance(G: EdgeLabeledGraph) -> CycleInstance:
     for _ in range(n):
         nbrs = sorted(adj[cur])
         if prev is None:
-            nxt, lab = nbrs[0]
+            nxt, g = nbrs[0]
         else:
             onward = [(w, l) for w, l in nbrs if w != prev]
             if not onward:
                 raise NotACycle("parallel edges do not form a cycle")
-            nxt, lab = onward[0]
-        g = gcd(lab, G.modulus)
+            nxt, g = onward[0]
         # canonical generator of the ideal: the zero ideal is 0, not m
-        labels.append(0 if G.modulus and g == G.modulus else g)
+        labels.append(0 if g == G.modulus else g)
         prev, cur = cur, nxt
         if cur == 0:
             break
@@ -142,11 +143,11 @@ def single_label_mgs(G: EdgeLabeledGraph) -> GeneratingSet:
     if not is_connected(G):
         raise NotConnected("single-label form needs a connected graph")
     m = G.modulus
-    reduced = {gcd(label, m) for _, _, label in G.edges}
+    reduced = {g for _, _, g in G.conditions}
     if len(reduced) != 1:
         raise NotSingleLabel(f"labels generate distinct ideals {sorted(reduced)}")
     a = reduced.pop()
-    if a == 1 or (m and a == m) or a == 0:
+    if a == 1 or a == m:
         raise NotSingleLabel("common label must be a nonzero non-unit")
     n = G.n
     splines: list[Vec] = [(1,) * n]
@@ -181,7 +182,9 @@ def power_label_cycle_gens(C: CycleInstance) -> GeneratingSet:
         splines.append(_to_graph_indexing(by_pos, order, n))
     for vec in splines:
         if not spline_check(C.graph, vec):
-            raise NotPowerFamily(f"constructed labeling {vec} fails an edge condition")
+            raise InternalInconsistency(
+                f"power-family closed form built {vec}, which fails an edge condition"
+            )
     return GeneratingSet(
         tuple(splines), minimum=True, provenance="power-family", rotation=rot
     )
@@ -221,8 +224,8 @@ def two_label_cycle_gens(C: CycleInstance) -> GeneratingSet:
         by_pos[n - 1] = z
         vec = _to_graph_indexing(by_pos, order, n)
         if not spline_check(C.graph, vec):
-            raise PreconditionViolated(
-                f"constructed labeling {vec} fails an edge condition"
+            raise InternalInconsistency(
+                f"two-label closed form built {vec}, which fails an edge condition"
             )
         splines.append(vec)
     return GeneratingSet(

@@ -28,7 +28,7 @@ itself stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .arith import solve_congruences
@@ -99,14 +99,13 @@ def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
     n = G.n
     if not G.edges:
         return IntMatrix.identity(n)
-    labels = [gcd(label, G.modulus) for _, _, label in G.edges]
-    c = G.modulus or lcm(*labels)
+    c = G.modulus or lcm(*(g for _, _, g in G.conditions))
     if c == 0:
         raise InternalInconsistency(
             "spline lattice is not full rank; was the graph normalized?"
         )
     columns = []
-    for (u, v, _), g in zip(G.edges, labels):
+    for u, v, g in G.conditions:
         col = [0] * n
         col[u], col[v] = c // g, -(c // g)
         columns.append(col[::-1])
@@ -168,8 +167,6 @@ def normalized_module(
         raise InvalidModulus(
             "invariant factors are only defined for a finite modulus"
         )
-    if m == 1:
-        return SplineModule(1, (), (), (), (1,) * gnorm.n)
     B = integer_lattice(gnorm)
     d, V = snf(_scaled_inverse(B, m), m)
 
@@ -252,22 +249,19 @@ def extension_analysis(
         )
     m = G.modulus
     incident = G_plus.incident(vi)
-    big_n = lcm(*(gcd(label, m) for _, _, label in incident))
+    big_n = lcm(*(g for _, _, g in incident))
     if m:
         kernel_order = m // big_n  # the lcm of divisors of m divides m
         base = invariant_factors(G)
         generators = base.mgs
     else:
-        kernel_order = 1 if big_n == 0 else None
+        kernel_order = 1 if big_n == m else None
         base = generators = pulled_back_lattice(G)[0]
 
-    surjective = True
-    for gen in generators:
-        system = []
-        for u, v, label in incident:
-            other = v if u == vi else u
-            system.append((gen[_skip(other, vi)], gcd(label, m)))
-        if solve_congruences(system) is None:
-            surjective = False
-            break
+    # the base index of each incident edge's other end, with its modulus
+    ends = [(_skip(v if u == vi else u, vi), g) for u, v, g in incident]
+    surjective = all(
+        solve_congruences([(gen[w], g) for w, g in ends]) is not None
+        for gen in generators
+    )
     return ExtensionAnalysis(new_vertex, big_n, kernel_order, surjective, base)

@@ -31,8 +31,12 @@ class EdgeLabeledGraph:
 
     Besides the three fields, each graph keeps ``conditions``: one
     ``(u, v, g)`` per edge with g = gcd(label, m), the modulus of the edge
-    condition (0 forces equality).  It is derived from the fields, so it
-    takes no part in equality, hashing or ``repr``.
+    condition.  g == m is the zero ideal, which forces equality; in integer
+    mode that is g == 0, since gcd(label, 0) = |label|.  This is the one
+    place a label becomes its edge modulus: every solver reads
+    ``conditions``, and only the brute-force oracle, the independent
+    reference, takes its own gcd.  ``conditions`` is derived from the
+    fields, so it takes no part in equality, hashing or ``repr``.
     """
 
     modulus: int
@@ -72,10 +76,8 @@ class EdgeLabeledGraph:
             raise UnknownVertex(f"unknown vertex {name!r}") from None
 
     def incident(self, v: int) -> list[Edge]:
-        return [e for e in self.edges if v in (e[0], e[1])]
-
-    def degree(self, v: int) -> int:
-        return len(self.incident(v))
+        """The ``conditions`` of the edges at vertex v."""
+        return [c for c in self.conditions if v in (c[0], c[1])]
 
     def with_vertex_order(self, order: list[str]) -> "EdgeLabeledGraph":
         """Same graph with vertices permuted into the given order."""
@@ -249,11 +251,17 @@ def spline_check(G: EdgeLabeledGraph, values) -> bool:
 def normalize(G: EdgeLabeledGraph) -> tuple[EdgeLabeledGraph, NormalizationReport]:
     """Canonical form with the same spline module.
 
-    Replaces each label by gcd(label, m), merges vertices joined by a
-    zero-ideal edge, drops unit edges, and collapses parallel edges into a
-    single edge whose ideal is the intersection of theirs (the lcm of the
-    gcd-reduced labels, becoming a zero edge when that lcm is m).  Iterates
-    until stable, so the result is idempotent.
+    Each edge's modulus g = gcd(label, m) is read from ``G.conditions``,
+    the single derivation every solver shares; only the brute-force oracle
+    takes its own gcd.  Unit edges (g = 1) are dropped, and the other input
+    edges are grouped by the pair of merge classes they join.  A group's
+    combined ideal is the intersection of its members', the lcm of their g;
+    where that is m, the zero ideal, the two classes merge.  The input
+    edges are regrouped until no group's lcm is m.  Each remaining group
+    becomes one edge labeled by its lcm, so the result is idempotent, and a
+    group of two or more input edges is reported as a collapsed parallel
+    edge under its pair of class representatives (their least original
+    indices).
     """
     m = G.modulus
     n = G.n
@@ -270,58 +278,35 @@ def normalize(G: EdgeLabeledGraph) -> tuple[EdgeLabeledGraph, NormalizationRepor
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    # Work with ideal generators: gcd(label, m) in [1, m], where m means the
-    # zero ideal (equality constraint).  In integer mode g == 0 plays that role.
-    work: list[tuple[int, int, int]] = []
+    work: list[Edge] = []
     dropped_units: list[Edge] = []
-    for u, v, label in G.edges:
-        g = gcd(label, m)
-        if (m and g == m) or (m == 0 and g == 0):
-            union(u, v)
-        elif g == 1:
-            dropped_units.append((u, v, label))
+    for edge, condition in zip(G.edges, G.conditions):
+        g = condition[2]
+        if g == 1 and g != m:  # over Z/1 every edge is a zero edge
+            dropped_units.append(edge)
         else:
-            work.append((u, v, g))
+            work.append(condition)
 
-    collapsed: list[tuple[tuple[int, int], int]] = []
     while True:
-        # Collapse parallel edges between current merge classes.  The ideal of
-        # the combined constraint is the intersection, i.e. the lcm of the
-        # gcd-reduced labels; an lcm of m (the zero ideal) forces a merge, so
-        # iterate until no new merges appear.
-        grouped: dict[tuple[int, int], int] = {}
-        counts: dict[tuple[int, int], int] = {}
+        groups: dict[tuple[int, int], list[int]] = {}
         for u, v, g in work:
             ru, rv = find(u), find(v)
-            if ru == rv:
-                continue  # constraint became trivial under the merge
-            key = (min(ru, rv), max(ru, rv))
-            grouped[key] = lcm(grouped[key], g) if key in grouped else g
-            counts[key] = counts.get(key, 0) + 1
-        new_zero = False
-        next_work = []
-        for (u, v), g in sorted(grouped.items()):
-            if m and g == m:
-                union(u, v)
-                new_zero = True
-            else:
-                next_work.append((u, v, g))
-        work = next_work
-        if not new_zero:
-            collapsed = [
-                (key, g)
-                for key, g in sorted(grouped.items())
-                if counts[key] > 1 and not (m and g == m)
-            ]
+            if ru != rv:  # an edge inside a class holds for every spline
+                groups.setdefault((min(ru, rv), max(ru, rv)), []).append(g)
+        ideals = {key: lcm(*gs) for key, gs in groups.items()}
+        zero = [key for key, g in ideals.items() if g == m]
+        if not zero:
             break
+        for u, v in zero:
+            union(u, v)
 
     reps = sorted({find(i) for i in range(n)})
     rep_index = {r: k for k, r in enumerate(reps)}
     merge_map = tuple(rep_index[find(i)] for i in range(n))
     vertices = tuple(G.vertices[r] for r in reps)
-    edges = tuple(
-        (rep_index[find(u)], rep_index[find(v)], g) for u, v, g in work
-    )
+    keys = sorted(ideals)
+    edges = tuple((rep_index[u], rep_index[v], ideals[u, v]) for u, v in keys)
+    collapsed = tuple((key, ideals[key]) for key in keys if len(groups[key]) > 1)
     normalized = EdgeLabeledGraph(m, vertices, edges)
-    report = NormalizationReport(merge_map, tuple(dropped_units), tuple(collapsed))
+    report = NormalizationReport(merge_map, tuple(dropped_units), collapsed)
     return normalized, report

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import example, given, strategies as st
 
-from splinemod import cli, engine
+from splinemod import cli, cycles, engine
 from splinemod.arith import Factorization
 
 C21_TEXT = """\
@@ -357,6 +357,27 @@ class TestCycle:
         assert report["note"] is not None
         assert report["oracle"]["set_spans"] is True
         assert report["invariant_factors"] == [3, 6]
+
+    @pytest.mark.parametrize(
+        "text, form",
+        [
+            (C21_TEXT, "two-label"),
+            ("mod 16\nvertices a b c d\nedge a b 2\nedge b c 4\nedge c d 8\nedge d a 4\n",
+             "power-family"),
+        ],
+    )
+    def test_closed_form_self_check_failure_exit_4(
+        self, capsys, tmp_path, monkeypatch, text, form
+    ):
+        # a closed form whose own vector fails an edge is a wrong
+        # construction, not a form that does not apply
+        monkeypatch.setattr(cycles, "spline_check", lambda G, values: False)
+        path = tmp_path / "cycle.graph"
+        path.write_text(text)
+        assert cli.main(["cycle", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{form} closed form" in captured.err
 
     def test_not_a_cycle(self, capsys, tmp_path):
         path = tmp_path / "path.graph"

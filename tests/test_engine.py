@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from splinemod.engine import (
+    SplineModule,
     extension_analysis,
     flow_up_generators,
     integer_lattice,
@@ -200,6 +201,19 @@ class TestInvariantFactors:
         mod = invariant_factors(G)
         assert mod.invariant_factors == () and mod.rank == 0 and mod.mgs == ()
 
+    def test_modulus_one_from_the_general_path(self):
+        # one trivial Smith entry per normalized vertex, nothing else
+        rng = random.Random(41)
+        for _ in range(40):
+            n = rng.randrange(2, 7)
+            edges = tuple(
+                (*rng.sample(range(n), 2), rng.randrange(-5, 5))
+                for _ in range(rng.randrange(n))
+            )
+            G = EdgeLabeledGraph(1, tuple(f"v{k}" for k in range(n)), edges)
+            H, _ = normalize(G)
+            assert invariant_factors(G) == SplineModule(1, (), (), (), (1,) * H.n)
+
     def test_integer_mode_rejected(self):
         G = EdgeLabeledGraph(0, ("a", "b"), ((0, 1, 2),))
         with pytest.raises(InvalidModulus):
@@ -320,6 +334,24 @@ class TestExtension:
             base_set = set(enumerate_splines(base))
             image = {f[:3] for f in enumerate_splines(ext)}
             assert analysis.pi_surjective == (image == base_set)
+
+    @pytest.mark.parametrize(
+        "extra, surjective",
+        [
+            (((2, 0, 3), (2, 1, 3)), False),  # the new vertex named first
+            (((2, 0, 3), (1, 2, 3)), False),  # mixed
+            (((2, 0, 3), (2, 1, 2)), True),
+        ],
+    )
+    def test_surjectivity_either_edge_orientation(self, extra, surjective):
+        # a - b differs by 2 in some spline, which no value at c matches
+        # mod 3 on both edges; coprime moduli always have a common lift
+        base = EdgeLabeledGraph(6, ("a", "b"), ((0, 1, 2),))
+        ext = EdgeLabeledGraph(6, ("a", "b", "c"), base.edges + extra)
+        analysis = extension_analysis(base, ext, "c")
+        assert analysis.pi_surjective is surjective
+        image = {f[:2] for f in enumerate_splines(ext)}
+        assert (image == set(enumerate_splines(base))) is surjective
 
     def test_not_an_extension(self):
         base = EdgeLabeledGraph(6, ("a", "b"), ((0, 1, 3),))

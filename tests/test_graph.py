@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 
@@ -146,6 +147,11 @@ class TestEdgeConditions:
         )
         assert [f.name for f in dataclasses.fields(A)] == ["modulus", "vertices", "edges"]
         assert dataclasses.replace(A, modulus=4).conditions == ((0, 1, 2),)
+
+    def test_incident_returns_conditions(self):
+        G = EdgeLabeledGraph(12, ("a", "b", "c"), ((0, 1, 14), (1, 2, 0), (0, 2, -9)))
+        assert G.incident(0) == [(0, 1, 2), (0, 2, 3)]
+        assert G.incident(1) == [(0, 1, 2), (1, 2, 12)]
 
 
 class TestVertexOrder:
@@ -297,6 +303,71 @@ class TestNormalize:
                 original = set(brute_splines(G))
                 pulled = {report.pull_back(f) for f in brute_splines(H)}
                 assert pulled == original
+
+    def test_collapse_reported_after_a_later_merge(self):
+        # 2 and 3 mod 6 intersect in the zero ideal, so a and b merge, and
+        # the regrouping round that follows still sees both c-d edges
+        G = EdgeLabeledGraph(
+            6, ("a", "b", "c", "d"), ((0, 1, 2), (0, 1, 3), (2, 3, 2), (2, 3, 4))
+        )
+        H, report = normalize(G)
+        assert report.vertex_merge_map == (0, 0, 1, 2)
+        assert H.edges == ((1, 2, 2),)
+        assert report.collapsed_parallel_edges == (((2, 3), 2),)
+
+    def test_collapse_across_merge_rounds(self):
+        # the zero edges make the classes {v1, v4, v6, v7} and {v2, v5};
+        # edges labeled 2 and 3 between them merge those in the first round,
+        # and the edges v4-v3 and v6-v3 (label 4, modulus 2) stay one
+        # collapsed edge through the second
+        G = parse_graph(
+            "mod 6\nvertices v1 v2 v3 v4 v5 v6 v7\n"
+            "edge v1 v6 0\nedge v1 v5 5\nedge v6 v4 0\nedge v4 v3 4\n"
+            "edge v3 v7 5\nedge v5 v2 0\nedge v3 v2 1\nedge v7 v2 2\n"
+            "edge v4 v7 0\nedge v4 v2 3\nedge v6 v3 4\nedge v5 v6 4\n"
+        )
+        H, report = normalize(G)
+        assert report.vertex_merge_map == (0, 0, 1, 0, 0, 0, 0)
+        assert H.edges == ((0, 1, 2),)
+        assert report.collapsed_parallel_edges == (((0, 2), 2),)
+        assert set(brute_splines(G)) == {report.pull_back(f) for f in brute_splines(H)}
+
+    def test_report_recounted_from_merge_map(self):
+        # Recount what the report says from the final merge map alone: a
+        # unit edge is dropped, and every class pair joined by two or more
+        # of the other input edges is one collapsed edge, labeled by the lcm
+        # of their moduli, under the classes' least original indices.
+        rng = random.Random(37)
+        for i in range(400):
+            m = (0, 2, 4, 6, 12, 30, 36, 60)[i % 8]
+            n = rng.randrange(2, 7)
+            edges = tuple(
+                (*rng.sample(range(n), 2), rng.randrange(-40, 40))
+                for _ in range(rng.randrange(3 * n))
+            )
+            G = EdgeLabeledGraph(m, tuple(f"v{k}" for k in range(n)), edges)
+            H, report = normalize(G)
+            merge = report.vertex_merge_map
+            first = {}
+            for k, cls in enumerate(merge):
+                first.setdefault(cls, k)
+            units, groups = [], {}
+            for u, v, label in G.edges:
+                g = gcd(label, m)
+                if g == 1:
+                    units.append((u, v, label))
+                elif merge[u] != merge[v]:
+                    key = tuple(sorted((merge[u], merge[v])))
+                    groups.setdefault(key, []).append(g)
+            assert report.dropped_unit_edges == tuple(units)
+            assert H.edges == tuple(
+                (a, b, lcm(*gs)) for (a, b), gs in sorted(groups.items())
+            )
+            assert report.collapsed_parallel_edges == tuple(
+                ((first[a], first[b]), lcm(*gs))
+                for (a, b), gs in sorted(groups.items())
+                if len(gs) > 1
+            )
 
     def test_m1_collapses_everything(self):
         G = EdgeLabeledGraph(1, ("a", "b"), ((0, 1, 0),))

@@ -1,12 +1,14 @@
 """Metamorphic checks of the CRT path: changes to a graph that leave its
-spline module alone must leave the computed module alone.  They need no
-oracle, so they reach graphs past the brute-force budget."""
+spline module alone must leave the computed module alone, and the module's
+shape follows from the graph's own structure.  They need no oracle, so they
+reach graphs past the brute-force budget."""
 
 import random
 from math import gcd
 
 import pytest
 
+from splinemod.arith import factorize
 from splinemod.decompose import decompose
 from splinemod.engine import invariant_factors
 from splinemod.graph import EdgeLabeledGraph
@@ -66,3 +68,51 @@ def test_module_preserving_edits(how):
         H = EdgeLabeledGraph(m, G.vertices, tuple(edges))
         # the same ideals on the same edges: the same module, vector for vector
         assert decompose(H).recombined == decompose(G).recombined
+
+
+def elementary_divisors(factors) -> list[int]:
+    return sorted(q for d in factors for q in factorize(d).prime_powers())
+
+
+def components(n: int, edges) -> int:
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    return len({find(x) for x in range(n)})
+
+
+def test_disjoint_union_unions_elementary_divisors():
+    for rng, G in seeded_graphs(79):
+        m, n = G.modulus, G.n
+        H = random_connected_graph(
+            rng, rng.randrange(2, 13), m, extra_edges=rng.randrange(4),
+            labels=list(range(m)),
+        )
+        union = EdgeLabeledGraph(
+            m,
+            G.vertices + tuple(f"w{i}" for i in range(H.n)),
+            G.edges + tuple((u + n, v + n, label) for u, v, label in H.edges),
+        )
+        assert elementary_divisors(crt_factors(union)) == sorted(
+            elementary_divisors(crt_factors(G)) + elementary_divisors(crt_factors(H))
+        )
+
+
+def test_rank_counts_components_of_zero_edges():
+    # Mod p^a, with p^a exactly dividing m, the edges whose labels p^a
+    # divides force equality, so the component module sits in a free module
+    # with one coordinate per class.  Every other edge's modulus divides
+    # p^(a-1), so p^(a-1) on one class alone is a spline.  The component's
+    # rank is the number of classes, and the rank mod m the largest of them.
+    for _, G in seeded_graphs(83):
+        expected = max(
+            components(G.n, [(u, v) for u, v, label in G.edges if label % q == 0])
+            for q in factorize(G.modulus).prime_powers()
+        )
+        assert invariant_factors(G).rank == expected

@@ -28,8 +28,9 @@ itself stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import compress
 from math import lcm, prod
-from operator import mul
 
 from .arith import solve_congruences
 from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
@@ -132,20 +133,39 @@ def pulled_back_lattice(
 
 
 def _scaled_inverse(B: IntMatrix, m: int) -> IntMatrix:
-    """m * B^{-1} by forward substitution; exact because m*Z^n lies in the lattice."""
+    """m * B^{-1} by sparse forward substitution; exact because m*Z^n lies
+    in the lattice.
+
+    B is lower triangular, so column j of the answer, x with B*x = m*e_j,
+    vanishes above row j.  Each x_k found is pushed down the nonzeros of
+    B's column k into the running sums of the rows below, and the rows are
+    solved in order, only those that received a sum: every other x_i is 0.
+    Each solved row checks that its division is exact.
+    """
     n = B.nrows
     E = B.entries
-    cols = []
+    below = [[] for _ in range(n)]  # below[k]: (i, B[i][k]) for i > k, nonzeros
+    for i, row in enumerate(E):
+        for k in compress(range(i), row):
+            below[k].append((i, row[k]))
+    X = [[0] * n for _ in range(n)]
     for j in range(n):
-        x = [0] * n  # B is lower triangular, so x vanishes above row j
-        for i in range(j, n):
-            s = (m if i == j else 0) - sum(map(mul, E[i][j:i], x[j:i]))
-            q, r = divmod(s, E[i][i])
+        sums = {j: m}  # row i -> m*[i == j] - sum of B[i][k]*x_k so far
+        pending = [j]
+        while pending:
+            i = heappop(pending)
+            q, r = divmod(sums.pop(i), E[i][i])
             if r:
                 raise InternalInconsistency("lattice does not contain m*Z^n")
-            x[i] = q
-        cols.append(x)
-    return IntMatrix.from_columns(cols)
+            if q:
+                X[i][j] = q
+                for k, b in below[i]:
+                    if k in sums:
+                        sums[k] -= b * q
+                    else:
+                        sums[k] = -b * q
+                        heappush(pending, k)
+    return IntMatrix(X)
 
 
 def invariant_factors(G: EdgeLabeledGraph) -> SplineModule:

@@ -13,13 +13,18 @@ entries bounded while doing so:
 * ``snf(A, m)`` returns ``(d, V)``: the Smith diagonal d of A over Z, and a
   right transform V reduced mod m, such that U*A*V = diag(d) for some
   unimodular U, read mod m.  It pivots on a minimal-absolute-value nonzero
-  entry, breaking ties by (row, col) lexicographic order.
+  entry, breaking ties by (row, col) lexicographic order.  It holds its
+  working matrix as sparse rows and touches only their nonzero entries,
+  with the same pivots as a dense elimination, so a near-diagonal matrix
+  such as q*I costs no dense pass over the trailing block.
 
 Matrices are immutable.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from math import gcd, inf
 from typing import Iterable, Sequence
 
 from .arith import xgcd
@@ -31,7 +36,7 @@ class IntMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, rows: Iterable[Sequence[int]]):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
         object.__setattr__(self, "entries", data)
@@ -53,15 +58,13 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        if not cols:
-            return cls([])
-        return cls([[col[i] for col in cols] for i in range(len(cols[0]))])
+        return cls(zip(*cols))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self.entries))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -126,18 +129,14 @@ def hnf(A: IntMatrix, c: int) -> IntMatrix:
     return IntMatrix.from_columns(done)
 
 
-def _min_abs_pivot(S: list[list[int]], t: int) -> tuple[int, int] | None:
-    """(row, col) of the first entry, in row-major order, of least nonzero
-    absolute value in the block of rows and columns t onward."""
-    best = None
-    for i in range(t, len(S)):
-        row = list(map(abs, S[i][t:]))
-        low = min(filter(None, row), default=0)
-        if low and (best is None or low < best[0]):
-            best = (low, i, t + row.index(low))
-            if low == 1:
-                break
-    return None if best is None else best[1:]
+def _add_multiple(row: dict[int, int], src: dict[int, int], q: int) -> None:
+    """row += q * src on sparse rows, dropping entries that become zero."""
+    for j, b in src.items():
+        x = row.get(j, 0) + q * b
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
 
 
 def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
@@ -146,57 +145,84 @@ def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
     The diagonal is nonnegative, consecutive nonzero entries divide each
     other, and zeros trail.  The row operations of the elimination are not
     recorded; every column operation is applied to V mod m as it is made.
+
+    The working matrix is held as sparse rows ``{col: value}`` and every
+    row or column operation visits only their nonzero entries.  Once pivot
+    t is done its row and column hold nothing else, so rows t onward are
+    zero left of column t.  Each row's least nonzero |entry| and the gcd of
+    its entries are kept as the row changes, so the pivot search (least
+    |entry|, first in row-major order) and the divisibility check of the
+    trailing block read one number per row.
     """
     if A.nrows == 0 or A.ncols == 0 or m < 1:
         raise ValueError("snf requires a nonempty matrix and a positive m")
     rows, cols = A.nrows, A.ncols
-    S = A.to_lists()
-    V = [[1 % m if i == j else 0 for i in range(cols)] for j in range(cols)]  # by column
+    S = [{j: row[j] for j in compress(range(cols), row)} for row in A.entries]
+    least = [min(map(abs, row.values()), default=inf) for row in S]
+    gcds = [gcd(*row.values()) for row in S]
+    V = [[0] * cols for _ in range(cols)]  # by column
+    for j in range(cols):
+        V[j][j] = 1 % m
+
+    def changed(i: int) -> None:
+        entries = S[i].values()
+        least[i] = min(map(abs, entries), default=inf)
+        gcds[i] = gcd(*entries)
 
     t = 0
     while t < min(rows, cols):
-        found = _min_abs_pivot(S, t)
-        if found is None:
-            break
+        low = min(least[t:])
+        if low == inf:
+            break  # the trailing block is zero
         while True:
-            pi, pj = found
-            S[t], S[pi] = S[pi], S[t]
+            pi = least.index(low, t)
+            pj = min(j for j, x in S[pi].items() if abs(x) == low)
+            for L in (S, least, gcds):
+                L[t], L[pi] = L[pi], L[t]
             if pj != t:
-                for row in S:
-                    row[t], row[pj] = row[pj], row[t]
+                for row in S[t:]:
+                    a, b = row.pop(t, 0), row.pop(pj, 0)
+                    if b:
+                        row[t] = b
+                    if a:
+                        row[pj] = a
                 V[t], V[pj] = V[pj], V[t]
-            p = S[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if S[i][t]:
-                    q = S[i][t] // p
-                    S[i] = [a - q * b for a, b in zip(S[i], S[t])]
-                    dirty = dirty or S[i][t] != 0
+            top = S[t]
+            p = top[t]
+            hit = [i for i in range(t + 1, rows) if t in S[i]]
+            for i in hit:
+                _add_multiple(S[i], top, -(S[i][t] // p))
+            live = [t] + [i for i in hit if t in S[i]]  # the rest are zero in column t
+            dirty = len(live) > 1
             vt = V[t]
-            live = [row for row in S if row[t]]  # the rest are zero in column t
-            for j in range(t + 1, cols):
-                if S[t][j]:
-                    q = S[t][j] // p
-                    if q:
-                        for row in live:
-                            row[j] -= q * row[t]
-                        V[j] = [(a - q * b) % m for a, b in zip(V[j], vt)]
-                    dirty = dirty or S[t][j] != 0
+            for j, b in list(top.items()):
+                if j == t:
+                    continue
+                q = b // p
+                if q:
+                    for i in live:
+                        row = S[i]
+                        x = row.get(j, 0) - q * row[t]
+                        if x:
+                            row[j] = x
+                        else:
+                            row.pop(j, None)
+                    V[j] = [(a - q * c) % m for a, c in zip(V[j], vt)]
+                dirty = dirty or j in top
+            for i in [t] + hit:
+                changed(i)
             if not dirty:
                 # Pivot is alone in its row and column; enforce divisibility
                 # of the remaining submatrix before locking it in.
-                offender = next(
-                    (i for i in range(t + 1, rows)
-                     for j in range(t + 1, cols) if S[i][j] % p),
-                    None,
-                )
-                if offender is None:
+                if gcd(*gcds[t + 1 :]) % p == 0:
                     break
-                S[t] = [a + b for a, b in zip(S[t], S[offender])]
-            found = _min_abs_pivot(S, t)
+                offender = next(i for i in range(t + 1, rows) if gcds[i] % p)
+                _add_multiple(top, S[offender], 1)
+                changed(t)
+            low = min(least[t:])
         if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
+            S[t] = {j: -x for j, x in S[t].items()}
         t += 1
 
-    d = tuple(S[i][i] for i in range(min(rows, cols)))
+    d = tuple(S[i].get(i, 0) for i in range(min(rows, cols)))
     return d, IntMatrix.from_columns(V)

@@ -1,9 +1,11 @@
 import pathlib
 import random
-from math import gcd
+from collections import Counter
+from math import gcd, lcm
 
 import pytest
 
+from splinemod import engine
 from splinemod.engine import (
     SplineModule,
     extension_analysis,
@@ -13,7 +15,7 @@ from splinemod.engine import (
     module_isomorphic,
     rank,
 )
-from splinemod.errors import InvalidModulus, NotAnExtension
+from splinemod.errors import InternalInconsistency, InvalidModulus, NotAnExtension
 from splinemod.graph import EdgeLabeledGraph, load_graph, normalize, spline_check
 from splinemod.matrix import IntMatrix
 from splinemod.oracle import (
@@ -23,7 +25,12 @@ from splinemod.oracle import (
     span,
     span_equals,
 )
-from support import column_lattices_equal, random_connected_graph
+from support import (
+    column_lattices_equal,
+    matmul,
+    nonunit_labels,
+    random_connected_graph,
+)
 
 Z6_PATH = EdgeLabeledGraph(6, ("v1", "v2", "v3"), ((0, 1, 2), (0, 2, 3)))
 TRI36 = EdgeLabeledGraph(36, ("v1", "v2", "v3"), ((0, 1, 30), (0, 2, 18), (1, 2, 12)))
@@ -85,6 +92,73 @@ class TestIntegerLattice:
         for j, col in enumerate(B.columns()):
             assert all(x == 0 for x in col[:j]) and col[j] > 0
             assert spline_check(G, col)
+
+
+class TestScaledInverse:
+    def test_basis_times_inverse_is_scaled_identity(self, monkeypatch):
+        # Every scaled inverse the engine takes, recorded on edgeless, sparse
+        # and complete graphs, mod m and in integer mode: the transposed dual
+        # basis inside integer_lattice, then the lattice basis B itself.
+        calls = []
+
+        def recording(B, c):
+            X = real(B, c)
+            calls.append((B, c, X))
+            return X
+
+        real = engine._scaled_inverse
+        monkeypatch.setattr(engine, "_scaled_inverse", recording)
+        rng = random.Random(53)
+        integer_mode = 0
+        for i in range(48):
+            m = rng.choice([0, 8, 12, 30, 36, 210])
+            labels = nonunit_labels(m) if m else list(range(2, 40))
+            n = rng.randrange(1, 9)
+            names = tuple(f"v{k}" for k in range(n))
+            if i % 3 == 0:
+                G = EdgeLabeledGraph(m, names, ())
+            elif i % 3 == 1:
+                G = random_connected_graph(rng, n, m, 1, labels)
+            else:
+                G = EdgeLabeledGraph(m, names, tuple(
+                    (u, v, rng.choice(labels)) for v in range(n) for u in range(v)
+                ))
+            if m:
+                invariant_factors(G)
+                continue
+            gnorm = normalize(G)[0]
+            before = len(calls)
+            integer_lattice(gnorm)
+            if gnorm.edges:  # c is the lcm of the edge moduli
+                assert calls[before][1] == lcm(*(g for _, _, g in gnorm.conditions))
+                integer_mode += 1
+
+        def density(B):
+            below = [x for i, row in enumerate(B.entries) for x in row[:i]]
+            return sum(map(bool, below)) / len(below) if below else 0
+
+        assert integer_mode > 3
+        assert any(B == IntMatrix.identity(B.nrows) for B, _, _ in calls)
+        assert any(B.nrows > 3 and 0 < density(B) <= 0.3 for B, _, _ in calls)
+        assert any(B.nrows > 3 and density(B) > 0.5 for B, _, _ in calls)
+        for B, c, X in calls:
+            n = B.nrows
+            assert matmul(B, X) == IntMatrix(
+                [[c if i == j else 0 for j in range(n)] for i in range(n)]
+            )
+
+    @pytest.mark.parametrize(
+        "rows, m",
+        [
+            ([[3]], 2),
+            ([[1, 0], [1, 2]], 1),  # inexact in row 1, through the sum from row 0
+            ([[2, 0], [1, 2]], 2),
+        ],
+    )
+    def test_lattice_without_scaled_identity_raises(self, rows, m):
+        # the columns of B do not span a lattice containing m*Z^n
+        with pytest.raises(InternalInconsistency):
+            engine._scaled_inverse(IntMatrix(rows), m)
 
 
 class TestFlowUp:
@@ -321,19 +395,26 @@ class TestExtension:
             assert len(kernel) == analysis.kernel_order
 
     def test_surjectivity_matches_brute_force(self):
+        # Labels are proper divisors of m, so incident edges often carry
+        # coprime moduli that a base spline's values cannot meet at once:
+        # both outcomes occur.  Either end of an incident edge may name w.
         rng = random.Random(37)
-        for _ in range(10):
+        outcomes = Counter()
+        for _ in range(16):
             m = rng.choice([6, 12])
-            base = random_connected_graph(rng, 3, m)
-            extra = tuple(
-                (rng.randrange(3), 3, rng.randrange(m))
-                for _ in range(rng.randrange(1, 3))
-            )
-            ext = EdgeLabeledGraph(m, base.vertices + ("w",), base.edges + extra)
+            labels = [d for d in range(2, m) if m % d == 0]
+            base = random_connected_graph(rng, 3, m, labels=labels)
+            extra = []
+            for v in rng.sample(range(3), rng.randrange(1, 4)):
+                u, x = (v, 3) if rng.random() < 0.5 else (3, v)
+                extra.append((u, x, rng.choice(labels)))
+            ext = EdgeLabeledGraph(m, base.vertices + ("w",), base.edges + tuple(extra))
             analysis = extension_analysis(base, ext, "w")
             base_set = set(enumerate_splines(base))
             image = {f[:3] for f in enumerate_splines(ext)}
             assert analysis.pi_surjective == (image == base_set)
+            outcomes[analysis.pi_surjective] += 1
+        assert min(outcomes[True], outcomes[False]) >= 3
 
     @pytest.mark.parametrize(
         "extra, surjective",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splinemod import engine
+from splinemod.decompose import decompose
 from splinemod.graph import normalize
 from splinemod.matrix import IntMatrix, hnf, snf
 from support import (
@@ -31,11 +32,31 @@ def small_matrices(max_dim=4, max_entry=30):
 moduli = st.sampled_from([1, 2, 3, 4, 6, 12, 30, 36, 64, 210])
 
 
+@st.composite
+def sparse_lower_triangular(draw, max_dim=12, max_entry=500):
+    """Nonzero diagonal and at most a fifth of the entries below it set."""
+    n = draw(st.integers(1, max_dim))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.integers(-max_entry, max_entry).filter(bool))
+    below = [(i, j) for i in range(n) for j in range(i)]
+    if below:
+        for i, j in draw(
+            st.lists(st.sampled_from(below), max_size=len(below) // 5, unique=True)
+        ):
+            rows[i][j] = draw(st.integers(-max_entry, max_entry))
+    return IntMatrix(rows)
+
+
 def reference_lattice_hnf(A: IntMatrix, c: int) -> IntMatrix:
     """The reference Hermite form of [A | c*I], cut to its n nonzero columns."""
     H = reference_hnf(with_scaled_identity(A, c))
     assert not any(x for row in H.entries for x in row[A.nrows :])
     return IntMatrix([row[: A.nrows] for row in H.entries])
+
+
+def scalar_matrix(q: int, n: int) -> IntMatrix:
+    return IntMatrix([[q if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def reduced(M: IntMatrix, m: int) -> IntMatrix:
@@ -239,6 +260,55 @@ class TestSnf:
         ref_d, _, ref_V = reference_snf(A)
         assert d == ref_d
         assert V == reduced(ref_V, m)
+
+    @settings(max_examples=150)
+    @given(sparse_lower_triangular(), moduli)
+    def test_matches_reference_on_sparse_triangular(self, A, m):
+        d, V = snf(A, m)
+        ref_d, _, ref_V = reference_snf(A)
+        assert d == ref_d
+        assert V == reduced(ref_V, m)
+
+    @pytest.mark.parametrize("q, n", [(1, 7), (2, 60), (9, 41), (30, 60), (64, 23)])
+    def test_scalar_matrix(self, q, n):
+        # m*B^{-1} for an edgeless graph mod q: q*I, diagonal and V untouched
+        A = scalar_matrix(q, n)
+        d, V = snf(A, q)
+        assert d == (q,) * n
+        assert V == reduced(IntMatrix.identity(n), q)
+        ref_d, _, ref_V = reference_snf(A)
+        assert d == ref_d and V == reduced(ref_V, q)
+
+    def test_matches_reference_on_scaled_inverses(self, monkeypatch):
+        # Every Smith form the engine takes, recorded on random graphs
+        # solved directly and through their prime-power components.
+        calls = []
+
+        def recording(A, m):
+            d, V = snf(A, m)
+            calls.append((A, m, d, V))
+            return d, V
+
+        monkeypatch.setattr(engine, "snf", recording)
+        rng = random.Random(47)
+        for i in range(60):
+            m = rng.choice([8, 9, 25, 12, 30, 36, 60, 210, 2310])
+            labels = list(range(m)) if i % 2 else None
+            G = random_connected_graph(
+                rng, rng.randrange(2, 11), m, rng.randrange(6), labels
+            )
+            if i % 3:
+                decompose(G)
+            else:
+                engine.invariant_factors(G)
+        # prime components (edgeless after normalization) and prime powers
+        assert {2, 3, 5, 8, 9, 25} <= {m for _, m, _, _ in calls}
+        scalar = sum(A == scalar_matrix(m, A.nrows) for A, m, _, _ in calls)
+        assert 0 < scalar < len(calls)
+        for A, m, d, V in calls:
+            ref_d, _, ref_V = reference_snf(A)
+            assert d == ref_d
+            assert V == reduced(ref_V, m)
 
     @settings(max_examples=50)
     @given(small_matrices(), moduli)

@@ -4,13 +4,14 @@ shape follows from the graph's own structure.  They need no oracle, so they
 reach graphs past the brute-force budget."""
 
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
 
 from splinemod.arith import factorize
 from splinemod.decompose import decompose
-from splinemod.engine import invariant_factors
+from splinemod.engine import extension_analysis, invariant_factors
 from splinemod.graph import EdgeLabeledGraph
 from support import random_connected_graph
 
@@ -116,3 +117,28 @@ def test_rank_counts_components_of_zero_edges():
             for q in factorize(G.modulus).prime_powers()
         )
         assert invariant_factors(G).rank == expected
+
+
+def test_extension_order_is_kernel_times_image():
+    # The restriction R_{G+} -> R_G has a kernel of order kernel_order, so
+    # |R_{G+}| = kernel_order * |image|, and the image is all of R_G exactly
+    # when the restriction is onto.  Labels on the new vertex's edges are
+    # divisors of m, so both outcomes occur.
+    outcomes = Counter()
+    for rng, G in seeded_graphs(89):
+        m, n = G.modulus, G.n
+        divisors = [d for d in range(2, m) if m % d == 0]
+        extra = tuple(
+            (v, n, rng.choice(divisors))
+            for v in rng.sample(range(n), rng.randrange(1, min(n, 4) + 1))
+        )
+        ext = EdgeLabeledGraph(m, G.vertices + ("new",), G.edges + extra)
+        analysis = extension_analysis(G, ext, "new")
+        ext_order = invariant_factors(ext).order
+        lifted = analysis.kernel_order * invariant_factors(G).order
+        if analysis.pi_surjective:
+            assert ext_order == lifted
+        else:
+            assert ext_order < lifted
+        outcomes[analysis.pi_surjective] += 1
+    assert min(outcomes[True], outcomes[False]) >= 3

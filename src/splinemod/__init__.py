@@ -34,6 +34,7 @@ from .engine import (
 from .graph import (
     EdgeLabeledGraph,
     NormalizationReport,
+    first_failing,
     load_graph,
     normalize,
     parse_graph,
@@ -71,6 +72,7 @@ __all__ = [
     "extension_analysis",
     "factorize",
     "fingerprint",
+    "first_failing",
     "flow_up_generators",
     "hnf",
     "integer_lattice",

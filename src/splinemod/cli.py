@@ -277,28 +277,44 @@ def _extend_report(base: EdgeLabeledGraph, ext: EdgeLabeledGraph, vertex: str) -
     return report
 
 
-def _json_text(value, indent: str = "\n") -> str:
+def _json_text(value) -> str:
     """Exactly ``json.dumps(value, indent=2)`` for a report (string keys).
 
-    ``indent`` is the newline and indentation before the closing bracket.  A
-    list of plain ints, the bulk of a report, is written with one join; every
-    other leaf goes through ``json.dumps``.
+    A list of plain ints, the bulk of a report, is written with one join;
+    every other leaf goes through ``json.dumps``.  Reports repeat their
+    vectors (the generating set is also the display set, and over Z/p a
+    component's generating set is its flow-up set), so each distinct int
+    list is written once per depth: a memo, made fresh for each call, maps
+    ``(tuple(list), indent)`` to its text.  Only lists whose elements are
+    exactly ``int`` enter it, since ``(True,) == (1,)`` but they print
+    differently.
     """
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (json.dumps(k) + ": " + _json_text(v, inner) for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {int}:
-            items = map(str, value)
-        else:
-            items = (_json_text(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return json.dumps(value)
+    memo: dict[tuple[tuple[int, ...], str], str] = {}
+
+    def write(value, indent: str) -> str:
+        # indent: the newline and indentation before the closing bracket
+        inner = indent + "  "
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = (json.dumps(k) + ": " + write(v, inner) for k, v in value.items())
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            if set(map(type, value)) == {int}:
+                key = (tuple(value), indent)
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = (
+                        "[" + inner + ("," + inner).join(map(str, value)) + indent + "]"
+                    )
+                return text
+            items = (write(v, inner) for v in value)
+            return "[" + inner + ("," + inner).join(items) + indent + "]"
+        return json.dumps(value)
+
+    return write(value, "\n")
 
 
 def _vec(v) -> str:

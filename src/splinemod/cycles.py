@@ -27,7 +27,7 @@ from .errors import (
     NotSingleLabel,
     PreconditionViolated,
 )
-from .graph import EdgeLabeledGraph, spline_check
+from .graph import EdgeLabeledGraph, first_failing
 
 Vec = tuple[int, ...]
 
@@ -180,11 +180,11 @@ def power_label_cycle_gens(C: CycleInstance) -> GeneratingSet:
     for i in range(1, n):
         by_pos = [labels[i - 1] if pos >= i else 0 for pos in range(n)]
         splines.append(_to_graph_indexing(by_pos, order, n))
-    for vec in splines:
-        if not spline_check(C.graph, vec):
-            raise InternalInconsistency(
-                f"power-family closed form built {vec}, which fails an edge condition"
-            )
+    j = first_failing(C.graph, tuple(zip(*splines)))
+    if j is not None:
+        raise InternalInconsistency(
+            f"power-family closed form built {splines[j]}, which fails an edge condition"
+        )
     return GeneratingSet(
         tuple(splines), minimum=True, provenance="power-family", rotation=rot
     )
@@ -222,12 +222,12 @@ def two_label_cycle_gens(C: CycleInstance) -> GeneratingSet:
         for pos in range(i, n - 1):
             by_pos[pos] = li
         by_pos[n - 1] = z
-        vec = _to_graph_indexing(by_pos, order, n)
-        if not spline_check(C.graph, vec):
-            raise InternalInconsistency(
-                f"two-label closed form built {vec}, which fails an edge condition"
-            )
-        splines.append(vec)
+        splines.append(_to_graph_indexing(by_pos, order, n))
+    j = first_failing(C.graph, tuple(zip(*splines)))
+    if j is not None:
+        raise InternalInconsistency(
+            f"two-label closed form built {splines[j]}, which fails an edge condition"
+        )
     return GeneratingSet(
         tuple(splines), minimum=False, provenance="two-label", rotation=rot
     )

@@ -19,7 +19,7 @@ from operator import add
 from .arith import crt_combine, factorize
 from .engine import SplineModule, invariant_factors
 from .errors import InternalInconsistency, InvalidModulus, NonCoprimeModuli, NotADivisor
-from .graph import EdgeLabeledGraph, spline_check
+from .graph import EdgeLabeledGraph, first_failing
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,10 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
     to g_q mod every q.  A component with fewer generators contributes the
     zero labeling to the missing slots, so the j-th glued generator
     accumulates the j-th largest order from every component and the glued
-    orders form the invariant-factor chain.  Every glued vector is checked
-    against the edge conditions of G.
+    orders form the invariant-factor chain.  The glued vectors are checked
+    as one vertex-major block, every vector against every edge condition of
+    G, in a single ``first_failing`` call; the first failing vector, largest
+    order first, is named.
     """
     m = G.modulus
     moduli = [comp.prime_power for comp in components]
@@ -86,7 +88,8 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
         list(zip(comp.module.invariant_factors, comp.module.mgs))[::-1]
         for comp in components
     ]
-    glued: list[tuple[int, tuple[int, ...]]] = []
+    orders = []
+    vectors = []
     for j in range(max(map(len, stacks))):
         order = 1
         total = None
@@ -96,14 +99,14 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
                 order *= factor
                 term = map(e.__mul__, gen)
                 total = term if total is None else map(add, total, term)
-        vec = tuple(map(mod_m, total))
-        if not spline_check(G, vec):
-            raise InternalInconsistency(
-                f"recombined vector {vec} fails an edge condition"
-            )
-        glued.append((order, vec))
-    glued.reverse()  # ascending orders
-    factors = tuple(order for order, _ in glued)
+        orders.append(order)
+        vectors.append(tuple(map(mod_m, total)))
+    j = first_failing(G, tuple(zip(*vectors)))
+    if j is not None:
+        raise InternalInconsistency(
+            f"recombined vector {vectors[j]} fails an edge condition"
+        )
+    factors = tuple(orders[::-1])  # ascending
     for a, b in zip(factors, factors[1:]):
         if b % a != 0:
             raise InternalInconsistency(
@@ -112,7 +115,7 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
     return SplineModule(
         modulus=m,
         invariant_factors=factors,
-        mgs=tuple(vec for _, vec in glued),
+        mgs=tuple(vectors[::-1]),
         flow_up=(),
         raw_diagonal=factors,
     )

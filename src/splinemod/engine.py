@@ -34,7 +34,7 @@ from math import lcm, prod
 
 from .arith import solve_congruences
 from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
-from .graph import EdgeLabeledGraph, NormalizationReport, normalize, spline_check
+from .graph import EdgeLabeledGraph, NormalizationReport, first_failing, normalize
 from .matrix import IntMatrix, hnf, snf
 
 
@@ -123,13 +123,13 @@ def pulled_back_lattice(
 ) -> tuple[tuple[tuple[int, ...], ...], NormalizationReport]:
     """Integer lattice basis columns of any graph, on its own vertices.
 
-    The graph is normalized, its lattice basis computed, and each column
+    The graph is normalized, its lattice basis computed, and its rows
     pulled back through the vertex merges; the normalization report is
     returned alongside.
     """
     gnorm, report = normalize(G)
-    columns = integer_lattice(gnorm).columns()
-    return tuple(report.pull_back(c) for c in columns), report
+    rows = report.pull_back(integer_lattice(gnorm).entries)
+    return tuple(zip(*rows)), report
 
 
 def _scaled_inverse(B: IntMatrix, m: int) -> IntMatrix:
@@ -181,7 +181,15 @@ def normalized_module(
     G: EdgeLabeledGraph, gnorm: EdgeLabeledGraph, report: NormalizationReport
 ) -> SplineModule:
     """``invariant_factors(G)`` for a caller that already holds
-    ``(gnorm, report) = normalize(G)``."""
+    ``(gnorm, report) = normalize(G)``.
+
+    The generators and the flow-up vectors are built on the normalized
+    vertices and transposed once into a vertex-major block (one row per
+    vertex).  Pulling the block back through the vertex merges indexes its
+    rows, so the vertices of one merge class share one row object.  The
+    whole block, generators first, is checked against every edge condition
+    of G in one ``first_failing`` call, and transposed back once.
+    """
     m = G.modulus
     if m == 0:
         raise InvalidModulus(
@@ -195,25 +203,27 @@ def normalized_module(
     if prod(d) * det_b != m**gnorm.n:
         raise InternalInconsistency("Smith diagonal does not match lattice index")
 
+    mod_m = m.__rmod__  # x -> x % m
     factors = []
-    mgs_norm = []
-    for j, dj in enumerate(d):
+    vectors = []
+    for dj, col in zip(d, V.columns()):
         if dj > 1:
-            col = V.column(j)
-            mgs_norm.append(tuple((m // dj) * x % m for x in col))
+            vectors.append(tuple(map(mod_m, map((m // dj).__mul__, col))))
             factors.append(dj)
-    flow_norm = []
+    k = len(vectors)
     for col in B.columns():
-        reduced = tuple(x % m for x in col)
+        reduced = tuple(map(mod_m, col))
         if any(reduced):
-            flow_norm.append(reduced)
+            vectors.append(reduced)
 
-    mgs = tuple(report.pull_back(g) for g in mgs_norm)
-    flow_up = tuple(report.pull_back(f) for f in flow_norm)
-    for vec in mgs + flow_up:
-        if not spline_check(G, vec):
-            raise InternalInconsistency(f"generated vector {vec} fails an edge condition")
-    return SplineModule(m, tuple(factors), mgs, flow_up, d)
+    # m = 1 leaves no vector: the block is then one empty row per vertex
+    rows = report.pull_back(list(zip(*vectors)) or [()] * gnorm.n)
+    j = first_failing(G, rows)
+    if j is not None:
+        vec = tuple(row[j] for row in rows)
+        raise InternalInconsistency(f"generated vector {vec} fails an edge condition")
+    columns = tuple(zip(*rows))
+    return SplineModule(m, tuple(factors), columns[:k], columns[k:], d)
 
 
 def flow_up_generators(G: EdgeLabeledGraph) -> list[tuple[int, ...]]:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress, count
 from math import gcd, lcm
+from operator import sub
 
 from .errors import (
     InvalidModulus,
@@ -125,7 +127,12 @@ class NormalizationReport:
         )
 
     def pull_back(self, values):
-        """Lift a vector on normalized vertices to the original vertex set."""
+        """Lift a vector on normalized vertices to the original vertex set.
+
+        Entry i of the result is entry ``vertex_merge_map[i]`` of ``values``,
+        the same object, so a vertex-major block (one row per vertex) lifts
+        with its rows shared within each merge class.
+        """
         return tuple(values[k] for k in self.vertex_merge_map)
 
 
@@ -231,21 +238,51 @@ def load_graph(path: str) -> EdgeLabeledGraph:
     return parse_graph(text)
 
 
+def first_failing(G: EdgeLabeledGraph, rows) -> int | None:
+    """Index of the first vector of a block that fails an edge condition.
+
+    The block is vertex-major: ``rows[i]`` holds every vector's value at
+    vertex i, so column j is the j-th vector.  Returns None when every
+    column is a spline of G.  The condition of edge (u, v, label) is that
+    g = gcd(label, m), read from ``G.conditions``, divides the difference
+    of the two values (g = 0, an integer-mode label 0, forcing equality).
+    Since g divides m, the difference need not be reduced mod m first.
+
+    Each condition compares its two rows at C speed: the gcd h of the
+    column differences is 0 iff the rows agree, and g divides h iff g
+    divides every difference, so ``h % g if g else h`` is nonzero exactly
+    when some column fails.  Only then are the columns scanned for the
+    first one that fails.  Two kinds of condition are skipped, both because
+    they hold for every column: g = 1, and rows[u] == rows[v], where every
+    difference is 0.  The second covers the vertices of one merge class in
+    a pulled-back block, which share one row object, and in a single
+    vector every edge whose two ends carry the same value.  So no failing
+    vector is missed.
+    """
+    if len(rows) != G.n:
+        raise LengthMismatch(f"expected {G.n} values, got {len(rows)}")
+    width = first = len(rows[0])
+    for u, v, g in G.conditions:
+        a, b = rows[u], rows[v]
+        if g == 1 or a == b:
+            continue
+        h = gcd(*map(sub, a, b))
+        if h % g if g else h:
+            diffs = map(sub, a, b)
+            j = next(compress(count(), map(g.__rmod__, diffs) if g else diffs))
+            first = min(first, j)
+            if not first:
+                break
+    return first if first < width else None
+
+
 def spline_check(G: EdgeLabeledGraph, values) -> bool:
     """True iff the vertex labeling satisfies every edge condition.
 
-    The condition on edge (u, v, label) is that f[u] - f[v] lies in the ideal
-    generated by the label; concretely g = gcd(label, m) divides the
-    difference (g = 0, an integer-mode label 0, forcing equality).  Since g
-    divides m, the difference need not be reduced mod m first.
+    The one-column case of ``first_failing``: ``values[i]`` is the value at
+    vertex i.
     """
-    if len(values) != G.n:
-        raise LengthMismatch(f"expected {G.n} values, got {len(values)}")
-    for u, v, g in G.conditions:
-        diff = values[u] - values[v]
-        if diff % g if g else diff:
-            return False
-    return True
+    return first_failing(G, tuple(zip(values))) is None
 
 
 def normalize(G: EdgeLabeledGraph) -> tuple[EdgeLabeledGraph, NormalizationReport]:

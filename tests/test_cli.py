@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import importlib
 import json
 import pathlib
@@ -10,6 +12,8 @@ from hypothesis import example, given, strategies as st
 
 from splinemod import cli, cycles, engine
 from splinemod.arith import Factorization
+from splinemod.graph import parse_graph, spline_check
+from splinemod.matrix import IntMatrix
 
 C21_TEXT = """\
 mod 21
@@ -262,6 +266,50 @@ class TestSolve:
         assert cli.main(["solve", tri36, "--crt"]) == 4
         assert "not pairwise coprime" in capsys.readouterr().err
 
+    def test_bad_smith_column_exit_4(self, capsys, tri36, monkeypatch):
+        # a right transform whose generator column is off by one at v1:
+        # the block check must name that generator
+        original = engine.snf
+        generators = []
+
+        def corrupted(A, m):
+            d, V = original(A, m)
+            j = d.index(max(d))
+            rows = [list(row) for row in V.entries]
+            rows[0][j] += 1
+            generators.append(tuple(row[j] * (m // d[j]) % m for row in rows))
+            return d, IntMatrix(rows)
+
+        monkeypatch.setattr(engine, "snf", corrupted)
+        assert cli.main(["solve", tri36, "--direct"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"generated vector {generators[0]} fails" in captured.err
+        assert not spline_check(parse_graph(TRI36_TEXT), generators[0])
+
+    def test_bad_component_generator_exit_4(self, capsys, c21, monkeypatch):
+        # the mod-3 component's generators moved by 1 at v1 glue into
+        # vectors that fail the mod-3 edge v1-v2
+        decompose_mod = importlib.import_module("splinemod.decompose")
+        original = decompose_mod.invariant_factors
+
+        def corrupted(G):
+            module = original(G)
+            if G.modulus != 3:
+                return module
+            mgs = tuple((v[0] + 1,) + v[1:] for v in module.mgs)
+            return dataclasses.replace(module, mgs=mgs)
+
+        monkeypatch.setattr(decompose_mod, "invariant_factors", corrupted)
+        assert cli.main(["solve", c21, "--crt"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "recombined vector" in captured.err
+        named = ast.literal_eval(
+            captured.err.split("recombined vector ")[1].split(" fails")[0]
+        )
+        assert not spline_check(parse_graph(C21_TEXT), named)
+
     @pytest.mark.parametrize("command", ["solve", "cycle"])
     def test_negative_budget_flag_is_input_error(self, capsys, c21, command):
         assert cli.main([command, c21, "--verify", "--budget", "-5"]) == 2
@@ -371,7 +419,7 @@ class TestCycle:
     ):
         # a closed form whose own vector fails an edge is a wrong
         # construction, not a form that does not apply
-        monkeypatch.setattr(cycles, "spline_check", lambda G, values: False)
+        monkeypatch.setattr(cycles, "first_failing", lambda G, rows: 0)
         path = tmp_path / "cycle.graph"
         path.write_text(text)
         assert cli.main(["cycle", str(path)]) == 4
@@ -499,6 +547,9 @@ class TestJsonOutput:
     @given(_JSON_VALUE)
     @example([1, True, None, [2, -3], [], {}, 2**64 + 1])
     @example({"a": [[0, 1], [2]], "b\"\u00e9": {"": []}, "c": (4, 5)})
+    @example([[1], [True], [1]])
+    @example({"x": [1, 2], "y": {"z": [1, 2]}})
+    @example([[0, 1], (0, 1), [0, 1]])
     def test_writer_matches_json_dumps(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2)
 
@@ -507,17 +558,21 @@ class TestJsonOutput:
         [
             ["solve", "{tri36}"],
             ["solve", "{tri36}", "--crt"],
+            ["solve", "{zp}", "--crt"],
             ["solve", "{tri36}", "--verify"],
             ["solve", "{int}"],
             ["cycle", "{c21}"],
             ["construct", "4", "6", "1"],
             ["extend", "{base}", "{ext}", "c"],
         ],
-        ids=["solve", "solve-crt", "solve-verify", "solve-integer", "cycle", "construct", "extend"],
+        ids=["solve", "solve-crt", "solve-crt-zp", "solve-verify", "solve-integer", "cycle", "construct", "extend"],
     )
     def test_stdout_is_indented_dump(self, capsys, tmp_path, tri36, c21, argv):
         files = {"tri36": tri36, "c21": c21}
         for name, text in (
+            # mod 30: every component is over Z/p, where the generating
+            # set equals the flow-up set
+            ("zp", "mod 30\nvertices a b c d\nedge a b 6\nedge b c 10\nedge c d 15\nedge d a 2\n"),
             ("int", "mod 0\nvertices a b c\nedge a b 2\nedge b c 0\n"),
             ("base", "mod 12\nvertices a b\nedge a b 2\n"),
             ("ext", "mod 12\nvertices a b c\nedge a b 2\nedge b c 8\n"),

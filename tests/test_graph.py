@@ -4,6 +4,7 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from splinemod.errors import (
     InvalidModulus,
@@ -14,6 +15,7 @@ from splinemod.errors import (
 )
 from splinemod.graph import (
     EdgeLabeledGraph,
+    first_failing,
     load_graph,
     normalize,
     parse_graph,
@@ -243,6 +245,63 @@ class TestSplineCheck:
                 if not spline_check(G, v)
             ]
             assert len(accepted) + len(rejected) == 12**3
+
+
+@st.composite
+def graphs_and_blocks(draw):
+    """A random multigraph and a vertex-major block whose rows are shared
+    through a random merge map, as a pulled-back block's are."""
+    m = draw(st.sampled_from((0, 1, 2, 6, 12, 30)))
+    n = draw(st.integers(1, 6))
+    # zero and unit labels often, so that zero ideals and unit edges occur
+    label = st.sampled_from((0, 1, m)) | st.integers(-2 * m - 3, 2 * m + 3)
+    edges = []
+    for _ in range(draw(st.integers(0, 8)) if n > 1 else 0):
+        u = draw(st.integers(0, n - 1))
+        v = (u + draw(st.integers(1, n - 1))) % n
+        edges.append((u, v, draw(label)))
+    G = EdgeLabeledGraph(m, tuple(f"v{i}" for i in range(n)), tuple(edges))
+    width = draw(st.integers(0, 5))
+    classes = draw(st.integers(1, n))
+    merge = draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n))
+    # multiples of the modulus and small values, so that both answers occur
+    step = m or 6
+    value = st.integers(-3, 3).map(step.__mul__) | st.integers(-7, 7)
+    class_rows = [
+        tuple(draw(st.lists(value, min_size=width, max_size=width)))
+        for _ in range(classes)
+    ]
+    return G, [class_rows[k] for k in merge]
+
+
+class TestFirstFailing:
+    @given(graphs_and_blocks())
+    # column 1 fails only the first edge, column 2 only the second
+    @example((
+        EdgeLabeledGraph(6, ("a", "b", "c"), ((0, 1, 2), (1, 2, 3))),
+        [(0, 1, 0), (0, 0, 0), (0, 0, 1)],
+    ))
+    # integer mode: column 2 differs by 2 across the zero label, which
+    # demands equality, and by 2 across the label-2 edge, which allows it
+    @example((
+        EdgeLabeledGraph(0, ("a", "b", "c"), ((0, 1, 0), (1, 2, 2))),
+        [(4, 7, 1), (4, 7, -1), (4, 9, 1)],
+    ))
+    def test_first_column_the_reference_rejects(self, case):
+        G, rows = case
+        columns = [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
+        expected = next(
+            (j for j, col in enumerate(columns) if not reference_spline_check(G, col)),
+            None,
+        )
+        assert first_failing(G, rows) == expected
+
+    @given(graphs_and_blocks(), st.sampled_from((-1, 1)))
+    def test_wrong_row_count(self, case, extra):
+        G, rows = case
+        rows = rows + rows[:1] if extra > 0 else rows[:-1]
+        with pytest.raises(LengthMismatch):
+            first_failing(G, rows)
 
 
 class TestNormalize:

@@ -25,10 +25,8 @@ from .engine import (
     ExtensionAnalysis,
     SplineModule,
     extension_analysis,
-    flow_up_generators,
     integer_lattice,
     invariant_factors,
-    module_isomorphic,
     rank,
 )
 from .graph import (
@@ -73,14 +71,12 @@ __all__ = [
     "factorize",
     "fingerprint",
     "first_failing",
-    "flow_up_generators",
     "hnf",
     "integer_lattice",
     "invariant_factors",
     "is_prime",
     "load_graph",
     "mgs_merge",
-    "module_isomorphic",
     "normalize",
     "parse_graph",
     "parse_graph_json",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import gcd, prod
+from math import gcd
 
 from .errors import NonCoprimeModuli
 
@@ -79,10 +79,6 @@ class Factorization:
     """Prime factorization as (prime, exponent) pairs, primes strictly increasing."""
 
     pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def value(self) -> int:
-        return prod(self.prime_powers())
 
     def prime_powers(self) -> tuple[int, ...]:
         return tuple(p**k for p, k in self.pairs)

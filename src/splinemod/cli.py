@@ -55,34 +55,36 @@ def _apply_order(G: EdgeLabeledGraph, order: str | None) -> EdgeLabeledGraph:
     return G.with_vertex_order([name.strip() for name in order.split(",")])
 
 
-def _display_generators(module: SplineModule) -> list[list[int]]:
+def _display_generators(module: SplineModule) -> list[tuple[int, ...]]:
     """Largest order first, then latest leading vertex first; the stored
     module keeps ascending factor pairing."""
     paired = sorted(
         zip(module.invariant_factors, module.mgs),
         key=lambda fv: (-fv[0], -leading_index(fv[1])),
     )
-    return [list(vec) for _, vec in paired]
+    return [vec for _, vec in paired]
+
+
+# The report builders below hand the writer the tuples the solvers store:
+# ``_json_text`` writes a tuple exactly as ``json.dumps`` writes a list.
 
 
 def _module_json(module: SplineModule) -> dict:
     return {
-        "invariant_factors": list(module.invariant_factors),
+        "invariant_factors": module.invariant_factors,
         "rank": module.rank,
         "order": module.order,
-        "minimum_generating_set": [list(v) for v in module.mgs],
-        "flow_up_generators": [list(v) for v in module.flow_up],
-        "raw_diagonal": list(module.raw_diagonal),
+        "minimum_generating_set": module.mgs,
+        "flow_up_generators": module.flow_up,
+        "raw_diagonal": module.raw_diagonal,
     }
 
 
 def _normalization_json(report) -> dict:
     return {
-        "vertex_merge_map": list(report.vertex_merge_map),
-        "dropped_unit_edges": [list(e) for e in report.dropped_unit_edges],
-        "collapsed_parallel_edges": [
-            [list(pair), label] for pair, label in report.collapsed_parallel_edges
-        ],
+        "vertex_merge_map": report.vertex_merge_map,
+        "dropped_unit_edges": report.dropped_unit_edges,
+        "collapsed_parallel_edges": report.collapsed_parallel_edges,
     }
 
 
@@ -90,7 +92,7 @@ def _oracle_block(G: EdgeLabeledGraph, module: SplineModule, budget: int | None)
     splines = enumerate_splines(G, budget)
     members = set(splines)
     print_fp = fingerprint(splines, G.modulus, members=members)
-    span_ok = span_equals(list(module.mgs), members, G.modulus, budget)
+    span_ok = span_equals(module.mgs, members, G.modulus, budget)
     block = {
         "spline_count": len(splines),
         "census_factors": list(print_fp.invariant_factors),
@@ -110,7 +112,7 @@ def _integer_mode_report(G: EdgeLabeledGraph) -> dict:
         "instance": G.to_json_obj(),
         "normalization": _normalization_json(nreport),
         "mode": "integer-lattice",
-        "lattice_basis_columns": [list(c) for c in columns],
+        "lattice_basis_columns": columns,
         "provenance": "hermite-lattice",
     }
 
@@ -138,7 +140,7 @@ def _solve_report(G: EdgeLabeledGraph, path: str, verify: bool, budget: int | No
             "components": [
                 {
                     "prime_power": comp.prime_power,
-                    "reduced_labels": [list(e) for e in comp.graph.edges],
+                    "reduced_labels": comp.graph.edges,
                     **_module_json(comp.module),
                 }
                 for comp in dec.components
@@ -170,7 +172,7 @@ def _solve_report(G: EdgeLabeledGraph, path: str, verify: bool, budget: int | No
 
 def _generating_set_json(gs: GeneratingSet, m: int) -> dict:
     return {
-        "splines": [list(v) for v in gs.splines],
+        "splines": gs.splines,
         "orders": [additive_order(v, m) for v in gs.splines],
         "minimum": gs.minimum,
         "provenance": gs.provenance,
@@ -220,7 +222,7 @@ def _cycle_report(G: EdgeLabeledGraph, verify: bool, budget: int | None) -> dict
     report = {
         "instance": G.to_json_obj(),
         "cycle_order": [G.vertices[i] for i in instance.order],
-        "cycle_labels": list(instance.labels),
+        "cycle_labels": instance.labels,
         "generating_set": _generating_set_json(gens, m),
         "note": note,
         **_module_json(module),
@@ -228,7 +230,7 @@ def _cycle_report(G: EdgeLabeledGraph, verify: bool, budget: int | None) -> dict
     }
     if verify:
         splines = enumerate_splines(G, budget)
-        ok = span_equals(list(gens.splines), splines, m, budget)
+        ok = span_equals(gens.splines, splines, m, budget)
         report["oracle"] = {"spline_count": len(splines), "set_spans": ok}
         if not ok:
             raise InternalInconsistency("closed-form set does not span the module")
@@ -250,9 +252,9 @@ def _construct_report(n: int, m: int, k: int) -> dict:
         "instance": graph.to_json_obj(),
         "target_rank": k,
         "verified_rank": achieved,
-        "coprime_split": list(recipe.coprime_split),
+        "coprime_split": recipe.coprime_split,
         "steps": [
-            {"vertex": s.vertex, "kind": s.kind, "edges": [list(e) for e in s.edges]}
+            {"vertex": s.vertex, "kind": s.kind, "edges": s.edges}
             for s in recipe.steps
         ],
     }
@@ -270,24 +272,25 @@ def _extend_report(base: EdgeLabeledGraph, ext: EdgeLabeledGraph, vertex: str) -
         report["base_module"] = _module_json(analysis.base)
         report["extended_module"] = _module_json(invariant_factors(ext))
     else:
-        report["base_lattice_basis"] = [list(c) for c in analysis.base]
-        report["extended_lattice_basis"] = [
-            list(c) for c in pulled_back_lattice(ext)[0]
-        ]
+        report["base_lattice_basis"] = analysis.base
+        report["extended_lattice_basis"] = pulled_back_lattice(ext)[0]
     return report
 
 
 def _json_text(value) -> str:
     """Exactly ``json.dumps(value, indent=2)`` for a report (string keys).
 
-    A list of plain ints, the bulk of a report, is written with one join;
-    every other leaf goes through ``json.dumps``.  Reports repeat their
-    vectors (the generating set is also the display set, and over Z/p a
-    component's generating set is its flow-up set), so each distinct int
-    list is written once per depth: a memo, made fresh for each call, maps
-    ``(tuple(list), indent)`` to its text.  Only lists whose elements are
-    exactly ``int`` enter it, since ``(True,) == (1,)`` but they print
-    differently.
+    A tuple is written as ``json.dumps`` writes a list.  A list or tuple of
+    plain ints, the bulk of a report, is written with one join; every other
+    leaf goes through ``json.dumps``.  Reports repeat their vectors (the
+    generating set is also the display set, and over Z/p a component's
+    generating set is its flow-up set), so each distinct int vector is
+    written once per depth: a memo, made fresh for each call, maps
+    ``(tuple(vector), indent)`` to its text.  The report builders pass the
+    tuples the solvers store, and ``tuple`` of a tuple is the tuple itself,
+    so the keys hold those vectors rather than copies.  Only vectors whose
+    elements are exactly ``int`` enter the memo, since ``(True,) == (1,)``
+    but they print differently.
     """
     memo: dict[tuple[tuple[int, ...], str], str] = {}
 

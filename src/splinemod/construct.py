@@ -54,6 +54,10 @@ def _vertex_names(n: int) -> list[str]:
     return [f"v{i}" for i in range(1, n + 1)]
 
 
+def _named(names: list[str], edges) -> tuple[tuple[str, str, int], ...]:
+    return tuple((names[u], names[v], label) for u, v, label in edges)
+
+
 def build_rank_k(n: int, m: int, k: int) -> tuple[EdgeLabeledGraph, ConstructionRecipe]:
     """Graph on n vertices whose spline module has rank k (2 <= k <= n).
 
@@ -68,7 +72,7 @@ def build_rank_k(n: int, m: int, k: int) -> tuple[EdgeLabeledGraph, Construction
     n1, n2 = _coprime_split(m)
     names = _vertex_names(n)
     edges: list[tuple[int, int, int]] = [(0, 1, n1)]
-    steps = [BuildStep(names[1], ((names[0], names[1], n1),), "base")]
+    steps = [BuildStep(names[1], _named(names, edges), "base")]
     raising = k - 2
     for i in range(2, n):
         a, b = i - 1, i - 2
@@ -80,16 +84,12 @@ def build_rank_k(n: int, m: int, k: int) -> tuple[EdgeLabeledGraph, Construction
             new = [(a, i, n2), (b, i, n1)]
             kind = "rank-keep"
         edges.extend(new)
-        steps.append(
-            BuildStep(
-                names[i], tuple((names[u], names[v], l) for u, v, l in new), kind
-            )
-        )
+        steps.append(BuildStep(names[i], _named(names, new), kind))
     graph = EdgeLabeledGraph(m, tuple(names), tuple(edges))
     return graph, ConstructionRecipe((n1, n2), tuple(steps))
 
 
-def _k4_base(m: int, n1: int, n2: int) -> list[tuple[int, int, int]]:
+def _k4_base(n1: int, n2: int) -> list[tuple[int, int, int]]:
     # Two edge-disjoint spanning trees of K4: reducing mod either coprime
     # block zeroes one tree and turns the other into units, collapsing all
     # four vertices, so only trivial labelings survive.
@@ -126,37 +126,19 @@ def build_rank_1(n: int, m: int) -> tuple[EdgeLabeledGraph, ConstructionRecipe]:
         raise InfeasibleParameters(f"rank 1 needs at least 3 vertices, got {n}")
     n1, n2 = _coprime_split(m)
     names = _vertex_names(n)
-    steps: list[BuildStep] = []
     base_n = 3 if n == 3 else 4
     if base_n == 3:
         q1 = fac.pairs[0][0] ** fac.pairs[0][1]
         q2 = fac.pairs[1][0] ** fac.pairs[1][1]
         a1, a2, a3 = q1, q2, m // (q1 * q2)
         edges = [(0, 1, a1 * a2 % m), (1, 2, a2 * a3 % m), (2, 0, a3 * a1 % m)]
-        steps.append(
-            BuildStep(
-                names[2],
-                tuple((names[u], names[v], l) for u, v, l in edges),
-                "base",
-            )
-        )
     else:
-        edges = _k4_base(m, n1, n2)
-        steps.append(
-            BuildStep(
-                names[3],
-                tuple((names[u], names[v], l) for u, v, l in edges),
-                "base",
-            )
-        )
+        edges = _k4_base(n1, n2)
+    steps = [BuildStep(names[base_n - 1], _named(names, edges), "base")]
     for i in range(base_n, n):
         new = [(i - 1, i, n1), (i - 2, i, n2)]
         edges.extend(new)
-        steps.append(
-            BuildStep(
-                names[i], tuple((names[u], names[v], l) for u, v, l in new), "rank-keep"
-            )
-        )
+        steps.append(BuildStep(names[i], _named(names, new), "rank-keep"))
     graph = EdgeLabeledGraph(m, tuple(names), tuple(edges))
     return graph, ConstructionRecipe((n1, n2), tuple(steps))
 

@@ -70,6 +70,10 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
     as one vertex-major block, every vector against every edge condition of
     G, in a single ``first_failing`` call; the first failing vector, largest
     order first, is named.
+
+    The glued module fills in only what gluing computes: its factors and
+    generators.  No Smith form is taken, so its ``raw_diagonal`` is its
+    factors, and no flow-up set is glued, so ``flow_up`` stays empty.
     """
     m = G.modulus
     moduli = [comp.prime_power for comp in components]
@@ -112,10 +116,4 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
             raise InternalInconsistency(
                 f"recombined orders {factors} do not form a divisibility chain"
             )
-    return SplineModule(
-        modulus=m,
-        invariant_factors=factors,
-        mgs=tuple(vectors[::-1]),
-        flow_up=(),
-        raw_diagonal=factors,
-    )
+    return SplineModule(m, factors, tuple(vectors[::-1]), raw_diagonal=factors)

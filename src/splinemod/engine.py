@@ -42,17 +42,25 @@ from .matrix import IntMatrix, hnf, snf
 class SplineModule:
     """Computed answer for one graph: invariant factors and generating sets.
 
-    ``invariant_factors`` is the ascending divisibility chain d1 | ... | dt
-    with every di > 1; ``mgs[i]`` has additive order exactly
-    ``invariant_factors[i]``.  ``raw_diagonal`` keeps the full Smith diagonal
-    including trivial 1 entries, for diagnostics.
+    Both solve paths fill in ``invariant_factors``, the ascending
+    divisibility chain d1 | ... | dt with every di > 1, and ``mgs``, where
+    ``mgs[i]`` has additive order exactly ``invariant_factors[i]``.  The
+    other two fields say what each path computed:
+
+    * the lattice path (``normalized_module``) sets ``raw_diagonal`` to the
+      full Smith diagonal of m*B^{-1}, trivial 1 entries included, and
+      ``flow_up`` to the flow-up basis columns reduced mod m, zero
+      reductions dropped;
+    * the CRT glue (``decompose.recombine``) takes no Smith form and glues
+      no flow-up set: its ``raw_diagonal`` is its factors and its
+      ``flow_up`` keeps the default, empty.
     """
 
     modulus: int
     invariant_factors: tuple[int, ...]
     mgs: tuple[tuple[int, ...], ...]
-    flow_up: tuple[tuple[int, ...], ...]
     raw_diagonal: tuple[int, ...]
+    flow_up: tuple[tuple[int, ...], ...] = ()
 
     @property
     def rank(self) -> int:
@@ -223,22 +231,12 @@ def normalized_module(
         vec = tuple(row[j] for row in rows)
         raise InternalInconsistency(f"generated vector {vec} fails an edge condition")
     columns = tuple(zip(*rows))
-    return SplineModule(m, tuple(factors), columns[:k], columns[k:], d)
-
-
-def flow_up_generators(G: EdgeLabeledGraph) -> list[tuple[int, ...]]:
-    """Flow-up generating set of the mod-m module (zero reductions dropped)."""
-    return list(invariant_factors(G).flow_up)
+    return SplineModule(m, tuple(factors), columns[:k], d, columns[k:])
 
 
 def rank(G: EdgeLabeledGraph) -> int:
     """Size of a minimum generating set; 0 only for the zero module (m = 1)."""
     return invariant_factors(G).rank
-
-
-def module_isomorphic(A: SplineModule, B: SplineModule) -> bool:
-    """Modules of finite abelian type are isomorphic iff their chains agree."""
-    return A.invariant_factors == B.invariant_factors
 
 
 def _skip(i: int, vi: int) -> int:

@@ -117,15 +117,6 @@ class NormalizationReport:
     dropped_unit_edges: tuple[Edge, ...]
     collapsed_parallel_edges: tuple[tuple[tuple[int, int], int], ...]
 
-    @property
-    def identity(self) -> bool:
-        n = len(self.vertex_merge_map)
-        return (
-            self.vertex_merge_map == tuple(range(n))
-            and not self.dropped_unit_edges
-            and not self.collapsed_parallel_edges
-        )
-
     def pull_back(self, values):
         """Lift a vector on normalized vertices to the original vertex set.
 
@@ -209,24 +200,39 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_names(values, what: str) -> list[str]:
+    # str() would turn 1 into "1", true into "True" and a string into its
+    # characters; only JSON strings name vertices.
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ParseError(f"{what} {values!r} is not a list of strings")
+    return values
+
+
 def parse_graph_json(text: str) -> EdgeLabeledGraph:
-    """Parse the JSON mirror: {"mod": m, "vertices": [...], "edges": [[u, v, label], ...]}."""
+    """Parse the JSON mirror: {"mod": m, "vertices": [...], "edges": [[u, v, label], ...]}.
+
+    Vertex names and edge endpoints must be JSON strings.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"graph is not a JSON object: {obj!r}")
     try:
         modulus = _json_int(obj["mod"], "modulus")
-        vertices = [str(v) for v in obj["vertices"]]
-        raw_edges = list(obj["edges"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from None
+        vertices = _json_names(obj["vertices"], "vertices")
+        raw_edges = obj["edges"]
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from None
+    if not isinstance(raw_edges, list):
+        raise ParseError(f"edges {raw_edges!r} is not a list")
     edges = []
     for entry in raw_edges:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"edge entry {entry!r} is not [u, v, label]")
-        u, v, label = entry
-        edges.append((str(u), str(v), _json_int(label, "edge label")))
+        u, v = _json_names(entry[:2], "edge endpoints")
+        edges.append((u, v, _json_int(entry[2], "edge label")))
     return _by_name(modulus, vertices, edges)
 
 

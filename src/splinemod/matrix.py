@@ -60,9 +60,6 @@ class IntMatrix:
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(zip(*cols))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.entries))
 
@@ -74,9 +71,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.entries]})"
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
 
 
 def hnf(A: IntMatrix, c: int) -> IntMatrix:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from collections.abc import Collection, Set as AbstractSet
+from collections.abc import Collection, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm, prod
@@ -106,6 +106,10 @@ def enumerate_splines(
                     extend(k + 1)
 
     extend(0)
+    # extend reaches itself through its closure, a reference cycle that
+    # holds ``out``; breaking it frees the splines when the caller drops
+    # them instead of at the next full garbage collection.
+    del extend
     return out
 
 
@@ -190,7 +194,7 @@ def _factors_from_census(census: dict[int, int], m: int) -> tuple[int, ...]:
 
 
 def span(
-    generators: list[tuple[int, ...]],
+    generators: Sequence[tuple[int, ...]],
     m: int,
     n: int,
     budget: int | None = None,
@@ -227,7 +231,7 @@ def span(
 
 
 def span_equals(
-    generators: list[tuple[int, ...]],
+    generators: Sequence[tuple[int, ...]],
     splines: Collection[tuple[int, ...]],
     m: int,
     budget: int | None = None,

@@ -75,7 +75,7 @@ def det(A: IntMatrix) -> int:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return 1
-    M = A.to_lists()
+    M = [list(r) for r in A.entries]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -115,7 +115,7 @@ def reference_hnf(A: IntMatrix) -> IntMatrix:
     left of a pivot in [0, pivot), zero columns beyond the rank.
     """
     rows, cols = A.nrows, A.ncols
-    H = A.to_lists()
+    H = [list(r) for r in A.entries]
     pivot = 0
     for r in range(rows):
         if pivot >= cols:
@@ -153,9 +153,9 @@ def reference_snf(A: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
     unimodular, pivoting on a minimal-absolute-value entry, ties broken by
     (row, col) order."""
     rows, cols = A.nrows, A.ncols
-    S = A.to_lists()
-    U = IntMatrix.identity(rows).to_lists()
-    V = IntMatrix.identity(cols).to_lists()
+    S = [list(r) for r in A.entries]
+    U = [list(r) for r in IntMatrix.identity(rows).entries]
+    V = [list(r) for r in IntMatrix.identity(cols).entries]
 
     def swap_rows(i1, i2):
         S[i1], S[i2] = S[i2], S[i1]

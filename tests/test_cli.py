@@ -146,7 +146,7 @@ class TestSolve:
         def broken_decompose(G):
             from splinemod.decompose import Decomposition
 
-            wrong = SplineModule(36, (36,), ((1, 1, 1),), (), (36,))
+            wrong = SplineModule(36, (36,), ((1, 1, 1),), (36,))
             return Decomposition((), wrong)
 
         monkeypatch.setattr(cli, "decompose", broken_decompose)
@@ -585,6 +585,42 @@ class TestJsonOutput:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+class TestHumanOutput:
+    """The text printers, pinned byte for byte by ``tests/golden/*.txt``."""
+
+    INPUTS = {
+        "int": "mod 0\nvertices a b c d\nedge a b 4\nedge b c 6\nedge c d 0\nedge a c 10\n",
+        "base12": "mod 12\nvertices a b\nedge a b 2\n",
+        "ext12": "mod 12\nvertices a b c\nedge a b 2\nedge b c 8\n",
+        "base0": "mod 0\nvertices a b\nedge a b 2\n",
+        "ext0": "mod 0\nvertices a b c\nedge a b 2\nedge b c 6\nedge a c 3\n",
+    }
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("solve_tri36", ["solve", "{tri36}"]),
+            ("solve_tri36_crt", ["solve", "{tri36}", "--crt"]),
+            ("solve_tri36_verify", ["solve", "{tri36}", "--verify"]),
+            ("solve_integer", ["solve", "{int}"]),
+            ("cycle_c21", ["cycle", "{c21}"]),
+            ("construct_5_30_3", ["construct", "5", "30", "3"]),
+            ("extend_mod12", ["extend", "{base12}", "{ext12}", "c"]),
+            ("extend_integer", ["extend", "{base0}", "{ext0}", "c"]),
+        ],
+    )
+    def test_matches_golden(self, capsys, tmp_path, tri36, c21, golden, argv):
+        files = {"tri36": tri36, "c21": c21}
+        for name, text in self.INPUTS.items():
+            path = tmp_path / f"{name}.graph"
+            path.write_text(text)
+            files[name] = str(path)
+        assert cli.main([a.format(**files) for a in argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (GOLDEN / f"{golden}.txt").read_text()
+
+
 class TestInputErrors:
     """Malformed input ends in exit 2 with a message, never a traceback."""
 
@@ -599,6 +635,14 @@ class TestInputErrors:
             {"mod": 6, "vertices": ["a", "b"], "edges": [["a", "b", True]]},
             {"mod": 6, "vertices": ["a", "b"], "edges": [["a", "b", "2"]]},
             {"mod": 6, "vertices": ["a", "b"], "edges": [["a", "c", 2]]},
+            # vertex names and endpoints are JSON strings, never coerced
+            {"mod": 6, "vertices": "ab", "edges": [["a", "b", 2]]},
+            {"mod": 6, "vertices": {"a": 0, "b": 1}, "edges": [["a", "b", 2]]},
+            {"mod": 6, "vertices": [1, True], "edges": [[1, True, 2]]},
+            {"mod": 6, "vertices": ["1", "2"], "edges": [[1, 2, 2]]},
+            {"mod": 6, "vertices": ["a", "b"], "edges": "ab"},
+            [1, 2],
+            {"mod": 6, "edges": []},
         ],
     )
     def test_malformed_json_graph(self, capsys, tmp_path, obj):

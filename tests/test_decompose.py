@@ -80,12 +80,12 @@ class TestRecombine:
         comp4 = ComponentSolution(
             4,
             reduce_graph(TRI36, 4),
-            SplineModule(4, (2, 4), ((2, 0, 0), (1, 1, 1)), (), (2, 4)),
+            SplineModule(4, (2, 4), ((2, 0, 0), (1, 1, 1)), (2, 4)),
         )
         comp9 = ComponentSolution(
             9,
             reduce_graph(TRI36, 9),
-            SplineModule(9, (3, 9), ((0, 3, 0), (1, 1, 1)), (), (3, 9)),
+            SplineModule(9, (3, 9), ((0, 3, 0), (1, 1, 1)), (3, 9)),
         )
         glued = recombine([comp4, comp9], TRI36)
         assert glued.invariant_factors == (6, 36)
@@ -138,18 +138,18 @@ class TestRecombineByIdempotents:
         # entries outside [0, q), negative ones too, glue to the same residue
         comp4 = ComponentSolution(
             4, reduce_graph(TRI36, 4),
-            SplineModule(4, (2, 4), ((-2, 4, 8), (5, -3, 1)), (), (2, 4)),
+            SplineModule(4, (2, 4), ((-2, 4, 8), (5, -3, 1)), (2, 4)),
         )
         comp9 = ComponentSolution(
             9, reduce_graph(TRI36, 9),
-            SplineModule(9, (9,), ((10, -8, 1),), (), (9,)),
+            SplineModule(9, (9,), ((10, -8, 1),), (9,)),
         )
         glued = recombine([comp4, comp9], TRI36)
         assert list(glued.mgs) == reference_glued_vectors([comp4, comp9], TRI36)[::-1]
         assert glued.mgs == ((18, 0, 0), (1, 1, 1))
 
     def _component(self, q, G):
-        return ComponentSolution(q, G, SplineModule(q, (q,), ((1, 1, 1),), (), (q,)))
+        return ComponentSolution(q, G, SplineModule(q, (q,), ((1, 1, 1),), (q,)))
 
     @pytest.mark.parametrize(
         "moduli, message",

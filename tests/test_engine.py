@@ -9,10 +9,8 @@ from splinemod import engine
 from splinemod.engine import (
     SplineModule,
     extension_analysis,
-    flow_up_generators,
     integer_lattice,
     invariant_factors,
-    module_isomorphic,
     rank,
 )
 from splinemod.errors import InternalInconsistency, InvalidModulus, NotAnExtension
@@ -67,7 +65,7 @@ class TestIntegerLattice:
             B = integer_lattice(G)
             n = G.n
             for j in range(n):
-                col = B.column(j)
+                col = B.columns()[j]
                 assert all(col[i] == 0 for i in range(j))  # flow-up triangular
                 assert col[j] > 0
                 assert spline_check(G, tuple(x % m for x in col)) or not any(
@@ -163,32 +161,32 @@ class TestScaledInverse:
 
 class TestFlowUp:
     def test_z6_path_module_equality(self):
-        gens = flow_up_generators(Z6_PATH)
+        gens = invariant_factors(Z6_PATH).flow_up
         splines = enumerate_splines(Z6_PATH)
         assert span_equals(gens, splines, 6)
         # the classic dependent triple generates the same module
         assert span_equals([(1, 1, 1), (0, 2, 3), (0, 0, 3)], splines, 6)
 
     def test_c3_mod30_only_trivial(self):
-        assert flow_up_generators(C3_MOD30) == [(1, 1, 1)]
+        assert invariant_factors(C3_MOD30).flow_up == ((1, 1, 1),)
 
     def test_single_vertex(self):
         G = EdgeLabeledGraph(7, ("a",), ())
-        assert flow_up_generators(G) == [(1,)]
+        assert invariant_factors(G).flow_up == ((1,),)
 
     def test_flow_up_shape(self):
         rng = random.Random(9)
         for _ in range(10):
             m = rng.choice([6, 12, 30])
             G = random_connected_graph(rng, 4, m)
-            for vec in flow_up_generators(G):
+            for vec in invariant_factors(G).flow_up:
                 lead = next(i for i, x in enumerate(vec) if x)
                 assert all(vec[i] == 0 for i in range(lead))
                 assert spline_check(G, vec)
 
     def test_modulus_one_empty(self):
         G = EdgeLabeledGraph(1, ("a", "b"), ((0, 1, 0),))
-        assert flow_up_generators(G) == []
+        assert invariant_factors(G).flow_up == ()
 
 
 class TestInvariantFactors:
@@ -286,7 +284,7 @@ class TestInvariantFactors:
             )
             G = EdgeLabeledGraph(1, tuple(f"v{k}" for k in range(n)), edges)
             H, _ = normalize(G)
-            assert invariant_factors(G) == SplineModule(1, (), (), (), (1,) * H.n)
+            assert invariant_factors(G) == SplineModule(1, (), (), (1,) * H.n)
 
     def test_integer_mode_rejected(self):
         G = EdgeLabeledGraph(0, ("a", "b"), ((0, 1, 2),))
@@ -333,13 +331,15 @@ class TestRank:
 
 class TestModuleIsomorphic:
     def test_equal_chains(self):
+        # finite abelian modules are isomorphic iff their chains agree
         a = invariant_factors(TRI36)
         b = invariant_factors(TRI36)
-        assert module_isomorphic(a, b)
+        assert a.invariant_factors == b.invariant_factors
 
     def test_different_chains(self):
-        assert not module_isomorphic(
-            invariant_factors(TRI36), invariant_factors(C21)
+        assert (
+            invariant_factors(TRI36).invariant_factors
+            != invariant_factors(C21).invariant_factors
         )
 
     def test_direct_sum_of_reductions(self):
@@ -348,7 +348,7 @@ class TestModuleIsomorphic:
         from splinemod.decompose import decompose
 
         dec = decompose(TRI36)
-        assert module_isomorphic(invariant_factors(TRI36), dec.recombined)
+        assert invariant_factors(TRI36).invariant_factors == dec.recombined.invariant_factors
 
 
 class TestExtension:

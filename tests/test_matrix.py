@@ -68,7 +68,7 @@ def is_lower_echelon(H: IntMatrix) -> bool:
     last = -1
     seen_zero = False
     for j in range(H.ncols):
-        col = H.column(j)
+        col = H.columns()[j]
         nz = [i for i, x in enumerate(col) if x]
         if not nz:
             seen_zero = True
@@ -86,7 +86,7 @@ def in_column_span(H: IntMatrix, a) -> bool:
     an integer combination of them?"""
     residual = list(a)
     for j in range(H.ncols):
-        col = H.column(j)
+        col = H.columns()[j]
         nz = [i for i, x in enumerate(col) if x]
         if not nz:
             break

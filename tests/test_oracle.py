@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 from math import gcd, lcm
 
@@ -25,6 +26,12 @@ class TestEnumerate:
 
     def test_z6_path_count(self):
         assert len(enumerate_splines(Z6_PATH)) == 36
+
+    def test_result_held_only_by_the_caller(self):
+        # no reference cycle keeps the list alive once the caller drops it:
+        # the references are this local and getrefcount's argument
+        splines = enumerate_splines(Z6_PATH)
+        assert sys.getrefcount(splines) == 2
 
     def test_c3_mod30_is_trivial_line(self):
         splines = enumerate_splines(C3_MOD30)

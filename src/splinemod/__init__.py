@@ -14,6 +14,7 @@ from .construct import ConstructionRecipe, build_rank_1, build_rank_k, sharpness
 from .cycles import (
     CycleInstance,
     GeneratingSet,
+    closed_form,
     cycle_instance,
     mgs_merge,
     power_label_cycle_gens,
@@ -63,6 +64,7 @@ __all__ = [
     "additive_order",
     "build_rank_1",
     "build_rank_k",
+    "closed_form",
     "crt_combine",
     "cycle_instance",
     "decompose",

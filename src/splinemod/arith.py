@@ -165,35 +165,3 @@ def crt_combine(residues: list[tuple[int, int]]) -> int:
         n = n * modulus
         x %= n
     return x
-
-
-def solve_congruences(pairs: list[tuple[int, int]]) -> int | None:
-    """Solve x = r (mod n) for every (r, n); moduli need not be coprime.
-
-    Modulus 0 means exact equality (a congruence over the integers).
-    Returns one solution, or None when the system is inconsistent.
-    """
-    x, n = 0, 1  # current solution class: x mod n (n == 0 pins x exactly)
-    for r, mod in pairs:
-        mod = abs(mod)
-        if n == 0:
-            if mod == 0:
-                if x != r:
-                    return None
-            elif (x - r) % mod != 0:
-                return None
-            continue
-        if mod == 0:
-            if (r - x) % n != 0:
-                return None
-            x, n = r, 0
-            continue
-        g, inv, _ = xgcd(n, mod)
-        if (r - x) % g != 0:
-            return None
-        step = mod // g
-        t = (r - x) // g * inv % step
-        x = x + n * t
-        n = n * step
-        x %= n
-    return x

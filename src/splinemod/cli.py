@@ -1,10 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``solve`` (full module computation), ``cycle`` (closed-form
-cycle paths with cross-check), ``construct`` (rank-prescribed graphs),
-``extend`` (one-vertex extension analysis).  Exit codes are part of the
-contract: 0 success, 2 input error, 3 enumeration budget exceeded,
-4 internal cross-check mismatch.
+``build_parser`` declares each subcommand once, with its arguments, its
+report builder and its printer.  Exit codes are part of the contract:
+0 success, 2 input error, 3 enumeration budget exceeded, 4 internal
+cross-check mismatch.
 """
 
 from __future__ import annotations
@@ -12,19 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import construct as construct_mod
 from .arith import additive_order, factorize
-from .cycles import (
-    GeneratingSet,
-    coprime_order_classes,
-    cycle_instance,
-    leading_index,
-    mgs_merge,
-    power_label_cycle_gens,
-    single_label_mgs,
-    two_label_cycle_gens,
-)
+from .cycles import GeneratingSet, closed_form, cycle_instance, leading_index
 from .decompose import decompose
 from .engine import (
     SplineModule,
@@ -33,14 +24,7 @@ from .engine import (
     normalized_module,
     pulled_back_lattice,
 )
-from .errors import (
-    BudgetExceeded,
-    InternalInconsistency,
-    NotPowerFamily,
-    NotSingleLabel,
-    PreconditionViolated,
-    SplineError,
-)
+from .errors import BudgetExceeded, InternalInconsistency, SplineError
 from .graph import EdgeLabeledGraph, load_graph, normalize
 from .oracle import enumerate_splines, fingerprint, span_equals
 
@@ -49,7 +33,8 @@ EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
 
-def _apply_order(G: EdgeLabeledGraph, order: str | None) -> EdgeLabeledGraph:
+def _load_graph(path: str, order: str | None = None) -> EdgeLabeledGraph:
+    G = load_graph(path)
     if order is None:
         return G
     return G.with_vertex_order([name.strip() for name in order.split(",")])
@@ -106,22 +91,20 @@ def _oracle_block(G: EdgeLabeledGraph, module: SplineModule, budget: int | None)
     return block
 
 
-def _integer_mode_report(G: EdgeLabeledGraph) -> dict:
-    columns, nreport = pulled_back_lattice(G)
-    return {
-        "instance": G.to_json_obj(),
-        "normalization": _normalization_json(nreport),
-        "mode": "integer-lattice",
-        "lattice_basis_columns": columns,
-        "provenance": "hermite-lattice",
-    }
-
-
-def _solve_report(G: EdgeLabeledGraph, path: str, verify: bool, budget: int | None) -> dict:
+def _solve_report(args: argparse.Namespace) -> dict:
+    G = _load_graph(args.graph, args.order)
+    path = "crt" if args.crt else "direct" if args.direct else "both"
     if G.modulus == 0:
-        if verify:
+        if args.verify:
             raise SplineError("--verify cannot enumerate an infinite module")
-        return _integer_mode_report(G)
+        columns, nreport = pulled_back_lattice(G)
+        return {
+            "instance": G.to_json_obj(),
+            "normalization": _normalization_json(nreport),
+            "mode": "integer-lattice",
+            "lattice_basis_columns": columns,
+            "provenance": "hermite-lattice",
+        }
     gnorm, nreport = normalize(G)
     m = G.modulus
     # For a prime power the decomposition's one component is the input
@@ -165,83 +148,64 @@ def _solve_report(G: EdgeLabeledGraph, path: str, verify: bool, budget: int | No
         "crt": crt_block,
         "oracle": None,
     }
-    if verify:
-        report["oracle"] = _oracle_block(G, direct, budget)
+    if args.verify:
+        report["oracle"] = _oracle_block(G, direct, args.budget)
     return report
 
 
-def _generating_set_json(gs: GeneratingSet, m: int) -> dict:
-    return {
-        "splines": gs.splines,
-        "orders": [additive_order(v, m) for v in gs.splines],
-        "minimum": gs.minimum,
-        "provenance": gs.provenance,
-        "rotation": gs.rotation,
-    }
-
-
-def _cycle_report(G: EdgeLabeledGraph, verify: bool, budget: int | None) -> dict:
+def _cycle_report(args: argparse.Namespace) -> dict:
+    G = _load_graph(args.graph, args.order)
     instance = cycle_instance(G)
     m = G.modulus
-    gens = None
-    note = None
-    try:
-        gens = single_label_mgs(G)
-    except NotSingleLabel:
-        pass
-    if gens is None:
-        try:
-            gens = power_label_cycle_gens(instance)
-        except NotPowerFamily:
-            pass
-    if gens is None:
-        try:
-            raw = two_label_cycle_gens(instance)
-            values = sorted(set(instance.labels))
-            pair = coprime_order_classes(m, values[1], values[0])
-            gens = mgs_merge(raw, m, pair)
-        except PreconditionViolated:
-            pass
+    gens = closed_form(instance)
     module = invariant_factors(G)
+    note = None
     if gens is None:
         note = "no closed form applies; falling back to the lattice path"
         gens = GeneratingSet(
             tuple(reversed(module.mgs)), minimum=True, provenance="lattice-smith"
         )
-    if gens.minimum and len(gens.splines) != module.rank:
+    # every set here is minimum: its size is the rank, its orders the factors
+    if len(gens.splines) != module.rank:
         raise InternalInconsistency(
             f"closed-form set size {len(gens.splines)} != rank {module.rank}"
         )
-    if gens.minimum:
-        orders = sorted(additive_order(v, m) for v in gens.splines)
-        if tuple(orders) != module.invariant_factors:
-            raise InternalInconsistency(
-                f"closed-form orders {orders} != invariant factors "
-                f"{module.invariant_factors}"
-            )
+    orders = sorted(additive_order(v, m) for v in gens.splines)
+    if tuple(orders) != module.invariant_factors:
+        raise InternalInconsistency(
+            f"closed-form orders {orders} != invariant factors "
+            f"{module.invariant_factors}"
+        )
     report = {
         "instance": G.to_json_obj(),
         "cycle_order": [G.vertices[i] for i in instance.order],
         "cycle_labels": instance.labels,
-        "generating_set": _generating_set_json(gens, m),
+        "generating_set": {
+            "splines": gens.splines,
+            "orders": [additive_order(v, m) for v in gens.splines],
+            "minimum": gens.minimum,
+            "provenance": gens.provenance,
+            "rotation": gens.rotation,
+        },
         "note": note,
         **_module_json(module),
         "oracle": None,
     }
-    if verify:
-        splines = enumerate_splines(G, budget)
-        ok = span_equals(gens.splines, splines, m, budget)
+    if args.verify:
+        splines = enumerate_splines(G, args.budget)
+        ok = span_equals(gens.splines, splines, m, args.budget)
         report["oracle"] = {"spline_count": len(splines), "set_spans": ok}
         if not ok:
             raise InternalInconsistency("closed-form set does not span the module")
     return report
 
 
-def _construct_report(n: int, m: int, k: int) -> dict:
+def _construct_report(args: argparse.Namespace) -> dict:
+    k = args.k
     if k == 1:
-        graph, recipe = construct_mod.build_rank_1(n, m)
+        graph, recipe = construct_mod.build_rank_1(args.n, args.m)
     else:
-        graph, recipe = construct_mod.build_rank_k(n, m, k)
+        graph, recipe = construct_mod.build_rank_k(args.n, args.m, k)
     achieved = invariant_factors(graph).rank
     if achieved != k:
         raise InternalInconsistency(
@@ -260,8 +224,10 @@ def _construct_report(n: int, m: int, k: int) -> dict:
     }
 
 
-def _extend_report(base: EdgeLabeledGraph, ext: EdgeLabeledGraph, vertex: str) -> dict:
-    analysis = extension_analysis(base, ext, vertex)
+def _extend_report(args: argparse.Namespace) -> dict:
+    base = _load_graph(args.base)
+    ext = _load_graph(args.extension)
+    analysis = extension_analysis(base, ext, args.vertex)
     report = {
         "new_vertex": analysis.new_vertex,
         "incident_lcm": analysis.incident_lcm,
@@ -285,39 +251,39 @@ def _json_text(value) -> str:
     leaf goes through ``json.dumps``.  Reports repeat their vectors (the
     generating set is also the display set, and over Z/p a component's
     generating set is its flow-up set), so each distinct int vector is
-    written once per depth: a memo, made fresh for each call, maps
-    ``(tuple(vector), indent)`` to its text.  The report builders pass the
-    tuples the solvers store, and ``tuple`` of a tuple is the tuple itself,
-    so the keys hold those vectors rather than copies.  Only vectors whose
-    elements are exactly ``int`` enter the memo, since ``(True,) == (1,)``
-    but they print differently.
+    written once per depth: a memo, made fresh for each call and handed down
+    ``_write``'s recursion, maps ``(tuple(vector), indent)`` to its text.
+    The report builders pass the tuples the solvers store, and ``tuple`` of
+    a tuple is the tuple itself, so the keys hold those vectors rather than
+    copies.  Only vectors whose elements are exactly ``int`` enter the memo,
+    since ``(True,) == (1,)`` but they print differently.  The memo is freed
+    on return, not left in a reference cycle for the garbage collector.
     """
-    memo: dict[tuple[tuple[int, ...], str], str] = {}
+    return _write(value, "\n", {})
 
-    def write(value, indent: str) -> str:
-        # indent: the newline and indentation before the closing bracket
-        inner = indent + "  "
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            items = (json.dumps(k) + ": " + write(v, inner) for k, v in value.items())
-            return "{" + inner + ("," + inner).join(items) + indent + "}"
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            if set(map(type, value)) == {int}:
-                key = (tuple(value), indent)
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = (
-                        "[" + inner + ("," + inner).join(map(str, value)) + indent + "]"
-                    )
-                return text
-            items = (write(v, inner) for v in value)
-            return "[" + inner + ("," + inner).join(items) + indent + "]"
-        return json.dumps(value)
 
-    return write(value, "\n")
+def _write(value, indent: str, memo: dict[tuple[tuple[int, ...], str], str]) -> str:
+    # indent: the newline and indentation before the closing bracket
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (json.dumps(k) + ": " + _write(v, inner, memo) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            key = (tuple(value), indent)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = (
+                    "[" + inner + ("," + inner).join(map(str, value)) + indent + "]"
+                )
+            return text
+        items = (_write(v, inner, memo) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
 
 
 def _vec(v) -> str:
@@ -368,10 +334,7 @@ def _print_cycle(report: dict, out) -> None:
         out.write(f"note: {report['note']}\n")
     _print_module(report, out)
     gens = report["generating_set"]
-    out.write(
-        f"generating set ({gens['provenance']}, "
-        f"{'minimum' if gens['minimum'] else 'not minimum'}"
-    )
+    out.write(f"generating set ({gens['provenance']}, minimum")
     if gens["rotation"]:
         out.write(f", rotated by {gens['rotation']}")
     out.write("):\n")
@@ -405,49 +368,52 @@ def _print_extend(report: dict, out) -> None:
             out.write(f"{key.replace('_', ' ')}: {cols}\n")
 
 
-_PRINTERS = {
-    "solve": _print_solve,
-    "cycle": _print_cycle,
-    "construct": _print_construct,
-    "extend": _print_extend,
-}
+def _command(sub, name: str, help: str, build, show) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(build=build, show=show)
+    return p
 
 
+def _graph_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph", help="graph file (text format, or .json mirror)")
+    p.add_argument("--verify", action="store_true", help="cross-check with the brute-force oracle")
+    p.add_argument("--budget", type=int, default=None, help="enumeration budget")
+    p.add_argument("--order", default=None, help="comma-separated vertex order")
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand names the function that builds its report from the
+    parsed arguments and the one that prints it as text.  Built on first
+    use, then reused: a parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="splinemod",
         description="Exact spline modules over Z/mZ on edge-labeled graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p_solve = sub.add_parser("solve", help="compute the spline module of a graph")
-    common(p_solve)
-    p_solve.add_argument("graph", help="graph file (text format, or .json mirror)")
-    p_solve.add_argument("--verify", action="store_true", help="cross-check with the brute-force oracle")
+    p_solve = _command(
+        sub, "solve", "compute the spline module of a graph", _solve_report, _print_solve
+    )
+    _graph_arguments(p_solve)
     group = p_solve.add_mutually_exclusive_group()
     group.add_argument("--crt", action="store_true", help="prime-power decomposition path only")
     group.add_argument("--direct", action="store_true", help="single lattice path only")
-    p_solve.add_argument("--budget", type=int, default=None, help="enumeration budget")
-    p_solve.add_argument("--order", default=None, help="comma-separated vertex order")
 
-    p_cycle = sub.add_parser("cycle", help="closed-form generating sets for cycles")
-    common(p_cycle)
-    p_cycle.add_argument("graph")
-    p_cycle.add_argument("--verify", action="store_true")
-    p_cycle.add_argument("--budget", type=int, default=None)
-    p_cycle.add_argument("--order", default=None)
+    p_cycle = _command(
+        sub, "cycle", "closed-form generating sets for cycles", _cycle_report, _print_cycle
+    )
+    _graph_arguments(p_cycle)
 
-    p_con = sub.add_parser("construct", help="build a graph with prescribed rank")
-    common(p_con)
+    p_con = _command(
+        sub, "construct", "build a graph with prescribed rank", _construct_report, _print_construct
+    )
     p_con.add_argument("n", type=int)
     p_con.add_argument("m", type=int)
     p_con.add_argument("k", type=int)
 
-    p_ext = sub.add_parser("extend", help="analyze a one-vertex extension")
-    common(p_ext)
+    p_ext = _command(sub, "extend", "analyze a one-vertex extension", _extend_report, _print_extend)
     p_ext.add_argument("base")
     p_ext.add_argument("extension")
     p_ext.add_argument("vertex")
@@ -457,19 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            G = _apply_order(load_graph(args.graph), args.order)
-            path = "crt" if args.crt else "direct" if args.direct else "both"
-            report = _solve_report(G, path, args.verify, args.budget)
-        elif args.command == "cycle":
-            G = _apply_order(load_graph(args.graph), args.order)
-            report = _cycle_report(G, args.verify, args.budget)
-        elif args.command == "construct":
-            report = _construct_report(args.n, args.m, args.k)
-        else:
-            base = load_graph(args.base)
-            ext = load_graph(args.extension)
-            report = _extend_report(base, ext, args.vertex)
+        report = args.build(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -483,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         sys.stdout.write(_json_text(report) + "\n")
     else:
-        _PRINTERS[args.command](report, sys.stdout)
+        args.show(report, sys.stdout)
     return 0
 
 

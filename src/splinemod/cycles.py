@@ -6,7 +6,7 @@ whose ideals form a divisibility chain (powers of one zero divisor are the
 paper's case), and cycles with two label values whose lcm is the modulus.
 The first two are minimum outright; the last is upgraded by ``mgs_merge``,
 which pairs generators whose additive orders fall in coprime order classes
-and sums each pair.
+and sums each pair.  ``closed_form`` tries the three in that order.
 
 Rotation preconditions are applied automatically and recorded, so vectors
 are always reported on the caller's vertex order.
@@ -299,3 +299,27 @@ def mgs_merge(B: GeneratingSet, m: int, factors: tuple[int, ...]) -> GeneratingS
         provenance=f"merged({B.provenance})",
         rotation=B.rotation,
     )
+
+
+def closed_form(C: CycleInstance) -> GeneratingSet | None:
+    """Minimum generating set from the first closed form that applies to C.
+
+    Tries the single-label form, then the power family, then the two-label
+    form merged into a minimum set; None when none applies.  A closed form
+    whose own vectors fail an edge raises InternalInconsistency: that is a
+    wrong construction, not a form that does not apply.
+    """
+    try:
+        return single_label_mgs(C.graph)
+    except NotSingleLabel:
+        pass
+    try:
+        return power_label_cycle_gens(C)
+    except NotPowerFamily:
+        pass
+    try:
+        raw = two_label_cycle_gens(C)
+        low, high = sorted(set(C.labels))
+        return mgs_merge(raw, C.modulus, coprime_order_classes(C.modulus, high, low))
+    except PreconditionViolated:
+        return None

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import compress
-from math import lcm, prod
+from itertools import combinations, compress
+from math import gcd, lcm, prod
 
-from .arith import solve_congruences
 from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
 from .graph import EdgeLabeledGraph, NormalizationReport, first_failing, normalize
 from .matrix import IntMatrix, hnf, snf
@@ -259,6 +258,13 @@ def _restriction_matches(G: EdgeLabeledGraph, G_plus: EdgeLabeledGraph, vi: int)
     return kept == own
 
 
+def _has_common_lift(congruences: list[tuple[int, int]]) -> bool:
+    """Whether x = r (mod g) for every (r, g) has a common solution, g = 0
+    meaning x = r exactly: iff every two agree mod gcd(g_i, g_j), where a
+    gcd of 0 asks for equality."""
+    return all(gcd(r - s, g, h) == gcd(g, h) for (r, g), (s, h) in combinations(congruences, 2))
+
+
 def extension_analysis(
     G: EdgeLabeledGraph, G_plus: EdgeLabeledGraph, new_vertex: str
 ) -> ExtensionAnalysis:
@@ -266,9 +272,10 @@ def extension_analysis(
 
     Splines of the extension restrict to splines of the base; the kernel is
     the set of splines supported on the new vertex only.  Surjectivity is
-    decided exactly: a generator of R_G lifts iff the congruence system its
-    neighbor values impose on the new vertex has a solution, and the image of
-    the restriction is a submodule, so checking generators suffices.
+    decided exactly: a generator f of R_G lifts iff the congruences
+    x = f(w) mod g its neighbors w impose on the new vertex (g = 0 pins x
+    exactly) agree pairwise.  The image of the restriction is a submodule,
+    so checking generators suffices.
     """
     vi = G_plus.vertex_index(new_vertex)
     if not _restriction_matches(G, G_plus, vi):
@@ -289,7 +296,6 @@ def extension_analysis(
     # the base index of each incident edge's other end, with its modulus
     ends = [(_skip(v if u == vi else u, vi), g) for u, v, g in incident]
     surjective = all(
-        solve_congruences([(gen[w], g) for w, g in ends]) is not None
-        for gen in generators
+        _has_common_lift([(gen[w], g) for w, g in ends]) for gen in generators
     )
     return ExtensionAnalysis(new_vertex, big_n, kernel_order, surjective, base)

@@ -31,12 +31,13 @@ from .arith import xgcd
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, row-major.  The entries must be ints: each
+    row is stored as a tuple of the entries it is given, none converted."""
 
     __slots__ = ("entries",)
 
     def __init__(self, rows: Iterable[Sequence[int]]):
-        data = tuple(tuple(map(int, row)) for row in rows)
+        data = tuple(map(tuple, rows))
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
         object.__setattr__(self, "entries", data)

@@ -1,4 +1,4 @@
-from math import lcm, prod
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +7,6 @@ from splinemod.arith import (
     crt_combine,
     factorize,
     is_prime,
-    solve_congruences,
     xgcd,
 )
 from splinemod.errors import NonCoprimeModuli
@@ -115,41 +114,3 @@ class TestCrtCombine:
             total *= q
         for x in range(total):
             assert crt_combine([(x % q, q) for q in moduli]) == x
-
-
-class TestSolveCongruences:
-    def test_compatible_non_coprime(self):
-        x = solve_congruences([(2, 6), (5, 9)])
-        assert x is not None and x % 6 == 2 and x % 9 == 5
-
-    def test_incompatible(self):
-        assert solve_congruences([(1, 4), (0, 2)]) is None
-
-    def test_exact_pin(self):
-        assert solve_congruences([(7, 0), (1, 3)]) == 7
-        assert solve_congruences([(7, 0), (0, 2)]) is None
-        assert solve_congruences([(7, 0), (7, 0)]) == 7
-        assert solve_congruences([(7, 0), (8, 0)]) is None
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 100), st.integers(1, 30)),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_solution_satisfies_all(self, pairs):
-        x = solve_congruences(pairs)
-        naive = None
-        bound = 1
-        for _, n in pairs:
-            bound = lcm(bound, n)
-        for cand in range(bound):
-            if all((cand - r) % n == 0 for r, n in pairs):
-                naive = cand
-                break
-        if naive is None:
-            assert x is None
-        else:
-            assert x is not None
-            assert all((x - r) % n == 0 for r, n in pairs)

@@ -1,11 +1,13 @@
 import ast
 import dataclasses
+import gc
 import importlib
 import json
 import pathlib
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -583,6 +585,72 @@ class TestJsonOutput:
         assert cli.main([a.format(**files) for a in argv] + ["--json"]) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def _owner(obj) -> str:
+    """The module that defines a function, or the class of anything else."""
+    if isinstance(obj, types.FunctionType):
+        return obj.__module__ or ""
+    return type(obj).__module__ or ""
+
+
+class TestInProcessCalls:
+    """``main`` called many times in one process, as the tests and the
+    benchmark call it."""
+
+    def test_no_cyclic_garbage(self, capsys, tmp_path, tri36, c21):
+        files = {}
+        for name, text in (
+            ("int", "mod 0\nvertices a b c\nedge a b 2\nedge b c 0\n"),
+            ("base", "mod 12\nvertices a b\nedge a b 2\n"),
+            ("ext", "mod 12\nvertices a b c\nedge a b 2\nedge b c 8\n"),
+        ):
+            path = tmp_path / f"{name}.graph"
+            path.write_text(text)
+            files[name] = str(path)
+        calls = [
+            ["solve", tri36],
+            ["solve", tri36, "--crt"],
+            ["solve", tri36, "--verify"],
+            ["solve", files["int"]],
+            ["cycle", c21],
+            ["construct", "4", "6", "1"],
+            ["extend", files["base"], files["ext"], "c"],
+        ]
+        assert cli.main(calls[0]) == 0  # warm-up: the parser is built once
+        gc.collect()
+        flags, before = gc.get_debug(), len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for argv in calls:
+                for extra in ([], ["--json"]):
+                    assert cli.main(argv + extra) == 0, argv + extra
+            gc.collect()
+            left = [
+                obj
+                for obj in gc.garbage[before:]
+                if _owner(obj) == "argparse"
+                or (isinstance(obj, types.FunctionType) and _owner(obj).startswith("splinemod"))
+            ]
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[before:]
+        capsys.readouterr()
+        assert left == []
+
+    def test_rejected_argv_then_valid_call(self, capsys, tri36):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", tri36, "--crt", "--direct"])
+        assert exc.value.code == 2
+        assert cli.main(["solve", tri36]) == 0
+
+    def test_order_does_not_carry_over(self, capsys, tri36):
+        before = run_json(capsys, ["solve", tri36])
+        ordered = run_json(capsys, ["solve", tri36, "--order", "v3,v1,v2"])
+        after = run_json(capsys, ["solve", tri36])
+        assert ordered["instance"]["vertices"] == ["v3", "v1", "v2"]
+        assert before == after
+        assert after["instance"]["vertices"] == ["v1", "v2", "v3"]
 
 
 class TestHumanOutput:

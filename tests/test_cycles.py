@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from splinemod.arith import additive_order
 from splinemod.cycles import (
+    closed_form,
     coprime_order_classes,
     cycle_instance,
     mgs_merge,
@@ -290,6 +292,29 @@ class TestMgsMerge:
         bad = GeneratingSet(((1, 1, 1), (0, 2, 2)), False, "test")  # order 3
         with pytest.raises(HypothesisViolated):
             mgs_merge(bad, 6, (2,))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "G, provenance",
+        [
+            (cycle(9, [3, 3, 3]), "single-label"),  # also a divisibility chain
+            (cycle(8, [2, 4, 4, 2]), "power-family"),
+            (C21, "merged(two-label)"),
+        ],
+    )
+    def test_first_form_that_applies(self, G, provenance):
+        gens = closed_form(cycle_instance(G))
+        assert gens.provenance == provenance
+        assert gens.minimum
+        orders = sorted(additive_order(v, G.modulus) for v in gens.splines)
+        assert tuple(orders) == invariant_factors(G).invariant_factors
+
+    @pytest.mark.parametrize(
+        "G", [cycle(30, [2, 3, 5]), cycle(6, [6, 2, 6, 2])], ids=["three-values", "zero-label"]
+    )
+    def test_free_cycle_has_none(self, G):
+        assert closed_form(cycle_instance(G)) is None
 
 
 class TestRotationInvariance:

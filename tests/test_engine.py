@@ -4,6 +4,7 @@ from collections import Counter
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from splinemod import engine
 from splinemod.engine import (
@@ -351,6 +352,38 @@ class TestModuleIsomorphic:
         assert invariant_factors(TRI36).invariant_factors == dec.recombined.invariant_factors
 
 
+class TestCommonLift:
+    """``_has_common_lift``: does x = r (mod g) hold for every (r, g) at once?"""
+
+    def test_compatible_non_coprime(self):
+        assert engine._has_common_lift([(2, 6), (5, 9)])  # x = 14
+
+    def test_incompatible(self):
+        assert not engine._has_common_lift([(1, 4), (0, 2)])
+
+    def test_exact_pin(self):
+        # modulus 0 pins x to r itself
+        assert engine._has_common_lift([(7, 0), (1, 3)])
+        assert not engine._has_common_lift([(7, 0), (0, 2)])
+        assert engine._has_common_lift([(7, 0), (7, 0)])
+        assert not engine._has_common_lift([(7, 0), (8, 0)])
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-50, 100), st.integers(0, 30)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_matches_brute_force(self, pairs):
+        def holds(x):
+            return all(x == r if g == 0 else (x - r) % g == 0 for r, g in pairs)
+
+        pinned = [r for r, g in pairs if g == 0]
+        candidates = pinned[:1] or range(lcm(*(g for _, g in pairs)))
+        assert engine._has_common_lift(pairs) == any(map(holds, candidates))
+
+
 class TestExtension:
     def test_integer_mode_not_surjective(self):
         base = EdgeLabeledGraph(0, ("a", "b"), ((0, 1, 2),))
@@ -359,6 +392,20 @@ class TestExtension:
         assert analysis.incident_lcm == 6
         assert analysis.kernel_order is None
         assert not analysis.pi_surjective
+
+    @pytest.mark.parametrize(
+        "base_label, extra, surjective",
+        [
+            (0, ((0, 2, 0), (1, 2, 0)), True),  # a = b in every base spline
+            (2, ((0, 2, 0), (1, 2, 0)), False),  # c cannot equal both a and b
+            (6, ((0, 2, 0), (1, 2, 3)), True),  # c = a meets b mod 3
+            (2, ((0, 2, 0), (1, 2, 3)), False),
+        ],
+    )
+    def test_integer_mode_zero_labels(self, base_label, extra, surjective):
+        base = EdgeLabeledGraph(0, ("a", "b"), ((0, 1, base_label),))
+        ext = EdgeLabeledGraph(0, ("a", "b", "c"), base.edges + extra)
+        assert extension_analysis(base, ext, "c").pi_surjective is surjective
 
     def test_full_lcm_trivial_kernel(self):
         base = EdgeLabeledGraph(6, ("a", "b"), ((0, 1, 2),))

@@ -106,16 +106,11 @@ def _solve_report(args: argparse.Namespace) -> dict:
             "provenance": "hermite-lattice",
         }
     gnorm, nreport = normalize(G)
-    m = G.modulus
     # For a prime power the decomposition's one component is the input
     # itself, so a cross-check would only solve the same graph twice.
-    run_crt = (path == "crt" and m >= 2) or (
-        path == "both" and len(factorize(m).pairs) >= 2
-    )
-    if run_crt and path == "crt":
-        direct = None  # the recombined module stands in
-    else:
-        direct = normalized_module(G, gnorm, nreport)
+    run_crt = path == "crt" or (path == "both" and len(factorize(G.modulus).pairs) >= 2)
+    # with --crt the recombined module stands in for the direct one
+    direct = None if path == "crt" else normalized_module(G, gnorm, nreport)
     crt_block = None
     if run_crt:
         dec = decompose(G)
@@ -165,15 +160,12 @@ def _cycle_report(args: argparse.Namespace) -> dict:
         gens = GeneratingSet(
             tuple(reversed(module.mgs)), minimum=True, provenance="lattice-smith"
         )
-    # every set here is minimum: its size is the rank, its orders the factors
-    if len(gens.splines) != module.rank:
+    # every set here is minimum: its sorted orders are the factors, which
+    # also pins its size to the rank
+    orders = [additive_order(v, m) for v in gens.splines]
+    if tuple(sorted(orders)) != module.invariant_factors:
         raise InternalInconsistency(
-            f"closed-form set size {len(gens.splines)} != rank {module.rank}"
-        )
-    orders = sorted(additive_order(v, m) for v in gens.splines)
-    if tuple(orders) != module.invariant_factors:
-        raise InternalInconsistency(
-            f"closed-form orders {orders} != invariant factors "
+            f"closed-form orders {sorted(orders)} != invariant factors "
             f"{module.invariant_factors}"
         )
     report = {
@@ -182,7 +174,7 @@ def _cycle_report(args: argparse.Namespace) -> dict:
         "cycle_labels": instance.labels,
         "generating_set": {
             "splines": gens.splines,
-            "orders": [additive_order(v, m) for v in gens.splines],
+            "orders": orders,
             "minimum": gens.minimum,
             "provenance": gens.provenance,
             "rotation": gens.rotation,

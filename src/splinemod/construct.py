@@ -16,7 +16,7 @@ from math import lcm
 
 from .arith import Factorization, factorize
 from .errors import InfeasibleParameters, InternalInconsistency, InvalidModulus
-from .graph import EdgeLabeledGraph, spline_check
+from .graph import EdgeLabeledGraph, check_splines
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,7 @@ def sharpness_check(G: EdgeLabeledGraph) -> tuple[int, ...]:
         d = lcm(*(g for _, _, g in G.incident(v)))
         if d != m:
             witness = tuple(d if i == v else 0 for i in range(3))
-            if not spline_check(G, witness):
-                raise InternalInconsistency(
-                    f"witness {witness} fails an edge it was built to satisfy"
-                )
+            check_splines(G, tuple(zip(witness)), "sharpness witness")
             return witness
     raise InternalInconsistency(
         "no vertex admits a witness; two-prime 3-cycles always have one"

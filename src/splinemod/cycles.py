@@ -20,14 +20,13 @@ from math import gcd, lcm
 from .arith import additive_order, factorize
 from .errors import (
     HypothesisViolated,
-    InternalInconsistency,
     NotACycle,
     NotConnected,
     NotPowerFamily,
     NotSingleLabel,
     PreconditionViolated,
 )
-from .graph import EdgeLabeledGraph, first_failing
+from .graph import EdgeLabeledGraph, check_splines
 
 Vec = tuple[int, ...]
 
@@ -180,11 +179,6 @@ def power_label_cycle_gens(C: CycleInstance) -> GeneratingSet:
     for i in range(1, n):
         by_pos = [labels[i - 1] if pos >= i else 0 for pos in range(n)]
         splines.append(_to_graph_indexing(by_pos, order, n))
-    j = first_failing(C.graph, tuple(zip(*splines)))
-    if j is not None:
-        raise InternalInconsistency(
-            f"power-family closed form built {splines[j]}, which fails an edge condition"
-        )
     return GeneratingSet(
         tuple(splines), minimum=True, provenance="power-family", rotation=rot
     )
@@ -223,11 +217,6 @@ def two_label_cycle_gens(C: CycleInstance) -> GeneratingSet:
             by_pos[pos] = li
         by_pos[n - 1] = z
         splines.append(_to_graph_indexing(by_pos, order, n))
-    j = first_failing(C.graph, tuple(zip(*splines)))
-    if j is not None:
-        raise InternalInconsistency(
-            f"two-label closed form built {splines[j]}, which fails an edge condition"
-        )
     return GeneratingSet(
         tuple(splines), minimum=False, provenance="two-label", rotation=rot
     )
@@ -305,21 +294,26 @@ def closed_form(C: CycleInstance) -> GeneratingSet | None:
     """Minimum generating set from the first closed form that applies to C.
 
     Tries the single-label form, then the power family, then the two-label
-    form merged into a minimum set; None when none applies.  A closed form
-    whose own vectors fail an edge raises InternalInconsistency: that is a
-    wrong construction, not a form that does not apply.
+    form merged into a minimum set; None when none applies.  The set it
+    returns is checked against every edge condition of C's graph: a vector
+    that fails one raises InternalInconsistency, since that is a wrong
+    construction, not a form that does not apply.
     """
-    try:
-        return single_label_mgs(C.graph)
-    except NotSingleLabel:
-        pass
-    try:
-        return power_label_cycle_gens(C)
-    except NotPowerFamily:
-        pass
-    try:
-        raw = two_label_cycle_gens(C)
-        low, high = sorted(set(C.labels))
-        return mgs_merge(raw, C.modulus, coprime_order_classes(C.modulus, high, low))
-    except PreconditionViolated:
-        return None
+    forms = (  # each form, with the error that says it does not apply
+        (lambda: single_label_mgs(C.graph), NotSingleLabel),
+        (lambda: power_label_cycle_gens(C), NotPowerFamily),
+        (lambda: mgs_merge(
+            two_label_cycle_gens(C),  # first: it raises unless there are two labels
+            C.modulus,
+            coprime_order_classes(C.modulus, *sorted(set(C.labels), reverse=True)),
+        ), PreconditionViolated),
+    )
+    for build, not_applicable in forms:
+        try:
+            gens = build()
+        except not_applicable:
+            continue
+        rows = tuple(zip(*gens.splines))
+        check_splines(C.graph, rows, f"{gens.provenance} closed-form vector")
+        return gens
+    return None

@@ -19,7 +19,7 @@ from operator import add
 from .arith import crt_combine, factorize
 from .engine import SplineModule, invariant_factors
 from .errors import InternalInconsistency, InvalidModulus, NonCoprimeModuli, NotADivisor
-from .graph import EdgeLabeledGraph, first_failing
+from .graph import EdgeLabeledGraph, check_splines
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
     accumulates the j-th largest order from every component and the glued
     orders form the invariant-factor chain.  The glued vectors are checked
     as one vertex-major block, every vector against every edge condition of
-    G, in a single ``first_failing`` call; the first failing vector, largest
+    G, in a single ``check_splines`` call; the first failing vector, largest
     order first, is named.
 
     The glued module fills in only what gluing computes: its factors and
@@ -105,11 +105,7 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
                 total = term if total is None else map(add, total, term)
         orders.append(order)
         vectors.append(tuple(map(mod_m, total)))
-    j = first_failing(G, tuple(zip(*vectors)))
-    if j is not None:
-        raise InternalInconsistency(
-            f"recombined vector {vectors[j]} fails an edge condition"
-        )
+    check_splines(G, tuple(zip(*vectors)), "recombined vector")
     factors = tuple(orders[::-1])  # ascending
     for a, b in zip(factors, factors[1:]):
         if b % a != 0:

@@ -33,7 +33,7 @@ from itertools import combinations, compress
 from math import gcd, lcm, prod
 
 from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
-from .graph import EdgeLabeledGraph, NormalizationReport, first_failing, normalize
+from .graph import EdgeLabeledGraph, NormalizationReport, check_splines, normalize
 from .matrix import IntMatrix, hnf, snf
 
 
@@ -131,11 +131,12 @@ def pulled_back_lattice(
     """Integer lattice basis columns of any graph, on its own vertices.
 
     The graph is normalized, its lattice basis computed, and its rows
-    pulled back through the vertex merges; the normalization report is
-    returned alongside.
+    pulled back through the vertex merges and checked against every edge
+    condition of G; the normalization report is returned alongside.
     """
     gnorm, report = normalize(G)
     rows = report.pull_back(integer_lattice(gnorm).entries)
+    check_splines(G, rows, "lattice basis column")
     return tuple(zip(*rows)), report
 
 
@@ -195,7 +196,7 @@ def normalized_module(
     vertex).  Pulling the block back through the vertex merges indexes its
     rows, so the vertices of one merge class share one row object.  The
     whole block, generators first, is checked against every edge condition
-    of G in one ``first_failing`` call, and transposed back once.
+    of G in one ``check_splines`` call, and transposed back once.
     """
     m = G.modulus
     if m == 0:
@@ -225,10 +226,7 @@ def normalized_module(
 
     # m = 1 leaves no vector: the block is then one empty row per vertex
     rows = report.pull_back(list(zip(*vectors)) or [()] * gnorm.n)
-    j = first_failing(G, rows)
-    if j is not None:
-        vec = tuple(row[j] for row in rows)
-        raise InternalInconsistency(f"generated vector {vec} fails an edge condition")
+    check_splines(G, rows, "generated vector")
     columns = tuple(zip(*rows))
     return SplineModule(m, tuple(factors), columns[:k], d, columns[k:])
 

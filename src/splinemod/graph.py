@@ -11,12 +11,14 @@ spline condition is ordinary divisibility over Z.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import compress, count
 from math import gcd, lcm
 from operator import sub
 
 from .errors import (
+    InternalInconsistency,
     InvalidModulus,
     LengthMismatch,
     ParseError,
@@ -127,12 +129,23 @@ class NormalizationReport:
         return tuple(values[k] for k in self.vertex_merge_map)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _text_int(token: str, what: str, lineno: int) -> int:
+    # int() would also read "1_2" as 12 and the Arabic-Indic digit "٤" as 4
+    if not _INTEGER.fullmatch(token):
+        raise ParseError(f"bad {what} {token!r}", lineno)
+    return int(token)
+
+
 def parse_graph(text: str) -> EdgeLabeledGraph:
     """Parse the line-oriented graph format.
 
     Line 1: ``mod <m>``; line 2: ``vertices <name> ...``; then
     ``edge <u> <v> <label>`` lines.  ``#`` starts a comment, blank lines are
-    skipped.  ``mod 0`` selects integer mode.
+    skipped.  ``mod 0`` selects integer mode.  The modulus and the labels
+    are an optional sign and the ASCII digits 0-9, nothing else.
     """
     modulus = None
     vertices: list[str] | None = None
@@ -147,10 +160,7 @@ def parse_graph(text: str) -> EdgeLabeledGraph:
                 raise ParseError("duplicate mod line", lineno)
             if len(parts) != 2:
                 raise ParseError("expected: mod <m>", lineno)
-            try:
-                modulus = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad modulus {parts[1]!r}", lineno) from None
+            modulus = _text_int(parts[1], "modulus", lineno)
             if modulus < 0:
                 raise InvalidModulus(f"line {lineno}: modulus {modulus} is negative")
         elif parts[0] == "vertices":
@@ -164,11 +174,7 @@ def parse_graph(text: str) -> EdgeLabeledGraph:
         elif parts[0] == "edge":
             if len(parts) != 4:
                 raise ParseError("expected: edge <u> <v> <label>", lineno)
-            try:
-                label = int(parts[3])
-            except ValueError:
-                raise ParseError(f"bad edge label {parts[3]!r}", lineno) from None
-            edges.append((parts[1], parts[2], label))
+            edges.append((parts[1], parts[2], _text_int(parts[3], "edge label", lineno)))
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     if modulus is None:
@@ -280,6 +286,19 @@ def first_failing(G: EdgeLabeledGraph, rows) -> int | None:
             if not first:
                 break
     return first if first < width else None
+
+
+def check_splines(G: EdgeLabeledGraph, rows, what: str) -> None:
+    """Raise InternalInconsistency naming the first vector of a vertex-major
+    block (as for ``first_failing``) that fails an edge condition of G.
+
+    Every vector set the program prints passes through here, so a wrong
+    vector exits 4 with one message: ``what`` names its producer.
+    """
+    j = first_failing(G, rows)
+    if j is not None:
+        vector = tuple(row[j] for row in rows)
+        raise InternalInconsistency(f"{what} {vector} fails an edge condition")
 
 
 def spline_check(G: EdgeLabeledGraph, values) -> bool:

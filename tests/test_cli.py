@@ -12,7 +12,8 @@ import types
 import pytest
 from hypothesis import example, given, strategies as st
 
-from splinemod import cli, cycles, engine
+from splinemod import cli, cycles, engine, graph
+from splinemod import construct as construct_mod
 from splinemod.arith import Factorization
 from splinemod.graph import parse_graph, spline_check
 from splinemod.matrix import IntMatrix
@@ -27,6 +28,8 @@ edge v4 v5 7
 edge v5 v6 3
 edge v6 v1 7
 """
+
+SINGLE_LABEL_TEXT = "mod 9\nvertices a b c\nedge a b 3\nedge b c 3\nedge c a 3\n"
 
 TRI36_TEXT = """\
 mod 36
@@ -60,6 +63,41 @@ def run_json(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0, out
     return json.loads(out)
+
+
+def mismatch(capsys, argv, check):
+    """Assert exit 4 with nothing printed and the message naming the check;
+    return the message."""
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert check in captured.err
+    return captured.err
+
+
+def named_vector(err, what):
+    """The vector an edge-check message names after ``what``."""
+    return ast.literal_eval(err.split(f"{what} ")[1].split(" fails")[0])
+
+
+def corrupt_lattice(monkeypatch):
+    """Make every integer lattice add 1 to its last column's pivot."""
+    original = engine.integer_lattice
+
+    def corrupted(G):
+        rows = [list(row) for row in original(G).entries]
+        rows[-1][-1] += 1
+        return IntMatrix(rows)
+
+    monkeypatch.setattr(engine, "integer_lattice", corrupted)
+
+
+def bump_trivial(gens):
+    """The set with its trivial spline moved by 1 at the second vertex: the
+    orders stay the same, but no edge there with a non-unit label holds."""
+    first = gens.splines[0]
+    bumped = (first[0], first[1] + 1) + first[2:]
+    return dataclasses.replace(gens, splines=(bumped,) + gens.splines[1:])
 
 
 class TestSolve:
@@ -139,8 +177,31 @@ class TestSolve:
 
     def test_parse_error_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.graph"
-        path.write_text("mod 6\nvertices a b\nedge a b\n")
-        assert cli.main(["solve", str(path)]) == 2
+        for text, line in [
+            ("mod 6\nvertices a b\nedge a b\n", 3),
+            # int() reads the next two as 12 and 4, and "٤" (Arabic-Indic
+            # four) as 4: only a sign and the ASCII digits 0-9 are accepted
+            ("mod 1_2\nvertices a b\nedge a b 2\n", 1),
+            ("mod 6\nvertices a b\nedge a b 0_4\n", 3),
+            ("mod ٤\nvertices a b\nedge a b 2\n", 1),
+            ("mod 6\nvertices a b\nedge a b ٤\n", 3),
+            ("mod 6\nvertices a b\nedge a b +-4\n", 3),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            assert cli.main(["solve", str(path)]) == 2, text
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: line {line}: "), captured.err
+
+    def test_crt_on_modulus_one_is_input_error(self, capsys, tmp_path):
+        # Z/1 has no prime power to decompose along; the other paths answer
+        path = tmp_path / "one.graph"
+        path.write_text("mod 1\nvertices a b\nedge a b 0\n")
+        assert run_json(capsys, ["solve", str(path), "--direct"])["rank"] == 0
+        assert cli.main(["solve", str(path), "--crt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "decomposition needs modulus >= 2, got 1" in captured.err
 
     def test_crt_mismatch_is_exit_4(self, capsys, tri36, monkeypatch):
         from splinemod.engine import SplineModule
@@ -283,10 +344,8 @@ class TestSolve:
             return d, IntMatrix(rows)
 
         monkeypatch.setattr(engine, "snf", corrupted)
-        assert cli.main(["solve", tri36, "--direct"]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"generated vector {generators[0]} fails" in captured.err
+        err = mismatch(capsys, ["solve", tri36, "--direct"], "generated vector")
+        assert named_vector(err, "generated vector") == generators[0]
         assert not spline_check(parse_graph(TRI36_TEXT), generators[0])
 
     def test_bad_component_generator_exit_4(self, capsys, c21, monkeypatch):
@@ -303,14 +362,34 @@ class TestSolve:
             return dataclasses.replace(module, mgs=mgs)
 
         monkeypatch.setattr(decompose_mod, "invariant_factors", corrupted)
-        assert cli.main(["solve", c21, "--crt"]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "recombined vector" in captured.err
-        named = ast.literal_eval(
-            captured.err.split("recombined vector ")[1].split(" fails")[0]
-        )
-        assert not spline_check(parse_graph(C21_TEXT), named)
+        err = mismatch(capsys, ["solve", c21, "--crt"], "recombined vector")
+        assert not spline_check(parse_graph(C21_TEXT), named_vector(err, "recombined vector"))
+
+    def test_bad_integer_lattice_column_exit_4(self, capsys, tmp_path, monkeypatch):
+        # column (0, 2) moved to (0, 3) fails the label-2 edge
+        text = "mod 0\nvertices a b\nedge a b 2\n"
+        path = tmp_path / "int.graph"
+        path.write_text(text)
+        corrupt_lattice(monkeypatch)
+        err = mismatch(capsys, ["solve", str(path)], "lattice basis column")
+        assert named_vector(err, "lattice basis column") == (0, 3)
+        assert not spline_check(parse_graph(text), (0, 3))
+
+    def test_oracle_factors_disagree_exit_4(self, capsys, tri36, monkeypatch):
+        original = cli.fingerprint
+
+        def wrong(*args, **kwargs):
+            fp = original(*args, **kwargs)
+            return dataclasses.replace(fp, invariant_factors=fp.invariant_factors[1:])
+
+        monkeypatch.setattr(cli, "fingerprint", wrong)
+        err = mismatch(capsys, ["solve", tri36, "--verify"], "oracle disagrees")
+        assert "'factors_match': False, 'mgs_spans': True" in err
+
+    def test_oracle_span_disagrees_exit_4(self, capsys, tri36, monkeypatch):
+        monkeypatch.setattr(cli, "span_equals", lambda *args: False)
+        err = mismatch(capsys, ["solve", tri36, "--verify"], "oracle disagrees")
+        assert "'factors_match': True, 'mgs_spans': False" in err
 
     @pytest.mark.parametrize("command", ["solve", "cycle"])
     def test_negative_budget_flag_is_input_error(self, capsys, c21, command):
@@ -414,20 +493,66 @@ class TestCycle:
             (C21_TEXT, "two-label"),
             ("mod 16\nvertices a b c d\nedge a b 2\nedge b c 4\nedge c d 8\nedge d a 4\n",
              "power-family"),
+            (SINGLE_LABEL_TEXT, "single-label"),
         ],
     )
     def test_closed_form_self_check_failure_exit_4(
         self, capsys, tmp_path, monkeypatch, text, form
     ):
         # a closed form whose own vector fails an edge is a wrong
-        # construction, not a form that does not apply
-        monkeypatch.setattr(cycles, "first_failing", lambda G, rows: 0)
+        # construction, not a form that does not apply; the one spline
+        # check, made to reject every block, is the first to run
+        monkeypatch.setattr(graph, "first_failing", lambda G, rows: 0)
         path = tmp_path / "cycle.graph"
         path.write_text(text)
-        assert cli.main(["cycle", str(path)]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{form} closed form" in captured.err
+        err = mismatch(capsys, ["cycle", str(path)], "closed-form vector")
+        assert form in err
+
+    @pytest.mark.parametrize(
+        "text, producer, provenance",
+        [
+            (SINGLE_LABEL_TEXT, "single_label_mgs", "single-label"),
+            (C21_TEXT, "mgs_merge", "merged(two-label)"),
+        ],
+    )
+    def test_corrupted_closed_form_vector_exit_4(
+        self, capsys, tmp_path, monkeypatch, text, producer, provenance
+    ):
+        # the corrupted set keeps its orders, so only the spline check sees it
+        original = getattr(cycles, producer)
+        monkeypatch.setattr(cycles, producer, lambda *args: bump_trivial(original(*args)))
+        path = tmp_path / "cycle.graph"
+        path.write_text(text)
+        what = f"{provenance} closed-form vector"
+        err = mismatch(capsys, ["cycle", str(path)], what)
+        named = named_vector(err, what)
+        assert named[:2] == (1, 2)
+        assert not spline_check(parse_graph(text), named)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda splines: splines[:-1],  # one vector short of the rank
+            lambda splines: splines + splines[-1:],  # one vector too many
+            lambda splines: splines[:-1] + (tuple(3 * x % 21 for x in splines[-1]),),
+        ],
+        ids=["short", "long", "wrong-order"],
+    )
+    def test_closed_form_orders_differ_exit_4(self, capsys, c21, monkeypatch, change):
+        original = cli.closed_form
+
+        def wrong(C):
+            gens = original(C)
+            return dataclasses.replace(gens, splines=change(gens.splines))
+
+        monkeypatch.setattr(cli, "closed_form", wrong)
+        mismatch(capsys, ["cycle", c21], "closed-form orders")
+
+    def test_closed_form_span_disagrees_exit_4(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "c3.graph"
+        path.write_text(SINGLE_LABEL_TEXT)
+        monkeypatch.setattr(cli, "span_equals", lambda *args: False)
+        mismatch(capsys, ["cycle", str(path), "--verify"], "does not span the module")
 
     def test_not_a_cycle(self, capsys, tmp_path):
         path = tmp_path / "path.graph"
@@ -459,6 +584,13 @@ class TestConstruct:
 
         G = parse_graph("\n".join(l for l in out.splitlines() if not l.startswith("#")))
         assert G.modulus == 30
+
+    def test_rank_differs_from_target_exit_4(self, capsys, monkeypatch):
+        original = construct_mod.build_rank_k
+        monkeypatch.setattr(
+            construct_mod, "build_rank_k", lambda n, m, k: original(n, m, k - 1)
+        )
+        mismatch(capsys, ["construct", "5", "30", "3"], "has rank 2, wanted 3")
 
 
 class TestExtend:
@@ -508,6 +640,16 @@ class TestExtend:
         ext = tmp_path / "ext.graph"
         ext.write_text("mod 12\nvertices a b c\nedge a b 2\nedge b c 8\n")
         assert cli.main(["extend", str(base), str(ext), "c"]) == 2
+
+    def test_bad_integer_lattice_column_exit_4(self, capsys, tmp_path, monkeypatch):
+        # the base's column (0, 2) moved to (0, 3) fails its label-2 edge
+        base = tmp_path / "base.graph"
+        base.write_text("mod 0\nvertices a b\nedge a b 2\n")
+        ext = tmp_path / "ext.graph"
+        ext.write_text("mod 0\nvertices a b c\nedge a b 2\nedge b c 6\nedge a c 3\n")
+        corrupt_lattice(monkeypatch)
+        err = mismatch(capsys, ["extend", str(base), str(ext), "c"], "lattice basis column")
+        assert named_vector(err, "lattice basis column") == (0, 3)
 
 
 class TestEnvBudget:
@@ -654,7 +796,8 @@ class TestInProcessCalls:
 
 
 class TestHumanOutput:
-    """The text printers, pinned byte for byte by ``tests/golden/*.txt``."""
+    """Every subcommand path, as text and as ``--json``, pinned byte for byte
+    by ``tests/golden/<name>.txt`` and ``tests/golden/<name>.json``."""
 
     INPUTS = {
         "int": "mod 0\nvertices a b c d\nedge a b 4\nedge b c 6\nedge c d 0\nedge a c 10\n",
@@ -664,18 +807,19 @@ class TestHumanOutput:
         "ext0": "mod 0\nvertices a b c\nedge a b 2\nedge b c 6\nedge a c 3\n",
     }
 
+    PATHS = [
+        ("solve_tri36", ["solve", "{tri36}"]),
+        ("solve_tri36_crt", ["solve", "{tri36}", "--crt"]),
+        ("solve_tri36_verify", ["solve", "{tri36}", "--verify"]),
+        ("solve_integer", ["solve", "{int}"]),
+        ("cycle_c21", ["cycle", "{c21}"]),
+        ("construct_5_30_3", ["construct", "5", "30", "3"]),
+        ("extend_mod12", ["extend", "{base12}", "{ext12}", "c"]),
+        ("extend_integer", ["extend", "{base0}", "{ext0}", "c"]),
+    ]
+
     @pytest.mark.parametrize(
-        "golden, argv",
-        [
-            ("solve_tri36", ["solve", "{tri36}"]),
-            ("solve_tri36_crt", ["solve", "{tri36}", "--crt"]),
-            ("solve_tri36_verify", ["solve", "{tri36}", "--verify"]),
-            ("solve_integer", ["solve", "{int}"]),
-            ("cycle_c21", ["cycle", "{c21}"]),
-            ("construct_5_30_3", ["construct", "5", "30", "3"]),
-            ("extend_mod12", ["extend", "{base12}", "{ext12}", "c"]),
-            ("extend_integer", ["extend", "{base0}", "{ext0}", "c"]),
-        ],
+        "golden, argv", PATHS + [(golden, argv + ["--json"]) for golden, argv in PATHS]
     )
     def test_matches_golden(self, capsys, tmp_path, tri36, c21, golden, argv):
         files = {"tri36": tri36, "c21": c21}
@@ -686,7 +830,8 @@ class TestHumanOutput:
         assert cli.main([a.format(**files) for a in argv]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out == (GOLDEN / f"{golden}.txt").read_text()
+        suffix = ".json" if "--json" in argv else ".txt"
+        assert captured.out == (GOLDEN / f"{golden}{suffix}").read_text()
 
 
 class TestInputErrors:

@@ -23,6 +23,8 @@ TEXT_FLAWS = [
     ("drop", 0), ("drop", 1),
     ("add", "edge a z 2"), ("add", "edge a a 2"), ("add", "edge a b x"),
     ("add", "edge a b"), ("add", "bogus 1"), ("add", "mod 6"),
+    # int() would read these as 12, 4, 4 and 4
+    ("mod", "mod 1_2"), ("mod", "mod ٤"), ("add", "edge a b 0_4"), ("add", "edge a b ٤"),
 ]
 JSON_FLAWS = [
     ("mod", "6"), ("mod", 6.0), ("mod", True), ("mod", None), ("mod", -4),
@@ -119,7 +121,7 @@ def test_exit_code_is_0_2_or_3(case):
         paths = []
         for i, (suffix, text, _) in enumerate(docs):
             path = pathlib.Path(tmp) / f"g{i}.{suffix}"
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
             paths.append(str(path))
         argv = [arg.format(*paths) for arg in argv]
         err = io.StringIO()

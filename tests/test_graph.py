@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from splinemod.errors import (
+    InternalInconsistency,
     InvalidModulus,
     LengthMismatch,
     ParseError,
@@ -16,6 +17,7 @@ from splinemod.errors import (
 from splinemod.graph import (
     EdgeLabeledGraph,
     NormalizationReport,
+    check_splines,
     first_failing,
     load_graph,
     normalize,
@@ -297,6 +299,20 @@ class TestFirstFailing:
         rows = rows + rows[:1] if extra > 0 else rows[:-1]
         with pytest.raises(LengthMismatch):
             first_failing(G, rows)
+
+
+class TestCheckSplines:
+    @given(graphs_and_blocks())
+    def test_names_the_first_failing_vector(self, case):
+        G, rows = case
+        j = first_failing(G, rows)
+        if j is None:
+            check_splines(G, rows, "test vector")
+        else:
+            vector = tuple(row[j] for row in rows)
+            with pytest.raises(InternalInconsistency) as exc:
+                check_splines(G, rows, "test vector")
+            assert str(exc.value) == f"test vector {vector} fails an edge condition"
 
 
 class TestNormalize:

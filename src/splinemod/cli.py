@@ -97,6 +97,8 @@ def _solve_report(args: argparse.Namespace) -> dict:
     if G.modulus == 0:
         if args.verify:
             raise SplineError("--verify cannot enumerate an infinite module")
+        if args.crt:
+            raise SplineError("--crt cannot decompose an infinite module")
         columns, nreport = pulled_back_lattice(G)
         return {
             "instance": G.to_json_obj(),

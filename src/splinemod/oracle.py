@@ -10,6 +10,11 @@ through the one residue class its tightest earlier edge allows and checks
 its other edges as usual; the closure adds whole cosets of the span so far.
 Both stay exhaustive: every spline is listed and every element of the span
 is built, each exactly once.
+
+The per-element work runs in C iterators.  The census counts the gcd of each
+spline's entries and turns each distinct gcd d into the order m / gcd(m, d)
+once.  The closure holds a coset as one column per coordinate and shifts a
+column by looking each entry up in a table of (a + g_i) mod m.
 """
 
 from __future__ import annotations
@@ -19,11 +24,10 @@ import random
 from collections import Counter
 from collections.abc import Collection, Sequence, Set as AbstractSet
 from dataclasses import dataclass
-from functools import partial
+from itertools import starmap
 from math import gcd, lcm, prod
-from operator import add
 
-from .arith import additive_order, factorize
+from .arith import factorize
 from .errors import BudgetExceeded, NotAGroup, SplineError
 from .graph import EdgeLabeledGraph
 
@@ -147,7 +151,11 @@ def fingerprint(
         if s not in index:
             raise NotAGroup(f"{a} + {b} leaves the set")
 
-    census = Counter(map(partial(additive_order, m=m), splines))
+    # The additive order of v is m / gcd(m, v_1, ..., v_n); for n = 0 the
+    # gcd of no entries is 0 and the order is 1.
+    census: Counter[int] = Counter()
+    for d, count in Counter(starmap(gcd, splines)).items():
+        census[m // gcd(m, d)] += count
     factors = _factors_from_census(census, m)
     total = len(splines)
     if prod(factors) != total:
@@ -210,23 +218,31 @@ def span(
     and stores every element.  For a budget of at least 1, BudgetExceeded
     is raised exactly when the closure has more than ``budget`` elements,
     before the coset that passes it is built.
+
+    A coset is held as n columns.  Shifting it by g maps column i through
+    the table a -> (a + g_i) mod m, built over the residues in that column,
+    so a table is never larger than its column however large m is; a column
+    with g_i = 0 is kept as it is.  The rows of the shifted columns are the
+    new elements.
     """
     cap = resolve_budget(budget)
-    mod_m = m.__rmod__  # x -> x % m
     closure = {(0,) * n}
     for g in generators:
-        g = tuple(map(mod_m, g))
+        g = tuple(x % m for x in g)
         if g in closure:
             continue
-        coset = list(closure)
-        size = len(coset)
+        coset = list(zip(*closure))
+        size = len(closure)
         multiple = g
         while multiple not in closure:
             if len(closure) + size > cap:
                 raise BudgetExceeded(len(closure) + size, cap)
-            coset = [tuple(map(mod_m, map(add, x, g))) for x in coset]
-            closure.update(coset)
-            multiple = tuple(map(mod_m, map(add, multiple, g)))
+            coset = [
+                list(map({a: (a + x) % m for a in set(col)}.__getitem__, col)) if x else col
+                for x, col in zip(g, coset)
+            ]
+            closure.update(zip(*coset))
+            multiple = tuple((a + x) % m for a, x in zip(multiple, g))
     return closure
 
 

@@ -14,9 +14,8 @@ from splinemod.cycles import cycle_instance, power_label_cycle_gens, single_labe
 from splinemod.decompose import decompose
 from splinemod.engine import extension_analysis, invariant_factors
 from splinemod.graph import EdgeLabeledGraph, spline_check
-from splinemod.arith import crt_combine
+from splinemod.arith import additive_order, crt_combine
 from splinemod.oracle import (
-    additive_order,
     enumerate_splines,
     fingerprint,
     span,

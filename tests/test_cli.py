@@ -203,6 +203,18 @@ class TestSolve:
         assert captured.out == ""
         assert "decomposition needs modulus >= 2, got 1" in captured.err
 
+    def test_crt_on_modulus_zero_is_input_error(self, capsys, tmp_path):
+        # Z has no prime power to decompose along; the other paths answer
+        path = tmp_path / "int.graph"
+        path.write_text("mod 0\nvertices a b\nedge a b 2\n")
+        for flags in ([], ["--direct"]):
+            report = run_json(capsys, ["solve", str(path), *flags])
+            assert report["mode"] == "integer-lattice"
+        assert cli.main(["solve", str(path), "--crt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --crt cannot decompose an infinite module\n"
+
     def test_crt_mismatch_is_exit_4(self, capsys, tri36, monkeypatch):
         from splinemod.engine import SplineModule
 
@@ -266,7 +278,8 @@ class TestSolve:
 
     @pytest.mark.slow
     def test_verify_at_the_default_budget(self, capsys, monkeypatch):
-        # m**n = 10**7, the default budget; about 3 s and 200 MB
+        # m**n = 10**7, the default budget; 2-3 s and a 186 MB peak RSS as
+        # its own process on a shared 2-vCPU machine
         monkeypatch.delenv("SPLINEMOD_BUDGET", raising=False)
         report = run_json(capsys, ["solve", str(GRAPHS / "n7_m10.graph"), "--verify"])
         assert report["oracle"]["spline_count"] == report["order"] == 625_000

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splinemod import engine
+from splinemod.arith import additive_order
 from splinemod.engine import (
     SplineModule,
     extension_analysis,
@@ -18,7 +19,6 @@ from splinemod.errors import InternalInconsistency, InvalidModulus, NotAnExtensi
 from splinemod.graph import EdgeLabeledGraph, load_graph, normalize, spline_check
 from splinemod.matrix import IntMatrix
 from splinemod.oracle import (
-    additive_order,
     enumerate_splines,
     fingerprint,
     span,

@@ -1,14 +1,15 @@
 import random
 import sys
+from collections import Counter
 from itertools import product
 from math import gcd, lcm
 
 import pytest
 
+from splinemod.arith import additive_order
 from splinemod.errors import BudgetExceeded, NotAGroup
 from splinemod.graph import EdgeLabeledGraph, spline_check
 from splinemod.oracle import (
-    additive_order,
     enumerate_splines,
     fingerprint,
     span,
@@ -219,6 +220,31 @@ class TestAgainstNaiveReferences:
             assert span(gens, m, n) == expected, (G, gens)
             assert span_equals(gens, splines, m) == (expected == set(splines))
             assert span_equals(gens, set(splines), m) == (expected == set(splines))
+
+    def test_census_matches_naive_orders(self):
+        rng = random.Random(15)
+        seen_m1 = seen_n1 = False
+        for _ in range(150):
+            G = random_desk_graph(rng, 5 * 10**3)
+            m = G.modulus
+            seen_m1 |= m == 1
+            seen_n1 |= G.n == 1
+            splines = enumerate_splines(G)
+            census = dict(fingerprint(splines, m).order_census)
+            assert census == Counter(naive_order(v, m) for v in splines), G
+        assert seen_m1 and seen_n1
+        # no vertices: one spline, the empty vector, of order 1
+        fp = fingerprint([()], 5)
+        assert fp.order_census == ((1, 1),)
+        assert fp.invariant_factors == ()
+        assert span([(), ()], 5, 0) == {()}
+
+    def test_span_of_a_small_subgroup_of_a_large_modulus(self):
+        # the shift tables cover the residues present, not all of Z/m
+        m = 10**12
+        assert span([(m // 2, 0), (0, m // 4)], m, 2) == {
+            (a * m // 2, b * m // 4) for a in range(2) for b in range(4)
+        }
 
     def test_empty_generator_list(self):
         assert span([], 7, 3) == naive_span([], 7, 3) == {(0, 0, 0)}

@@ -428,10 +428,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.json:
-        sys.stdout.write(_json_text(report) + "\n")
-    else:
-        args.show(report, sys.stdout)
+    # An answer may pass the interpreter's digit limit on int-to-text; lift
+    # it for the write only, so input stays bounded and callers keep theirs.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            sys.stdout.write(_json_text(report) + "\n")
+        else:
+            args.show(report, sys.stdout)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -26,7 +26,7 @@ from .errors import (
     NotSingleLabel,
     PreconditionViolated,
 )
-from .graph import EdgeLabeledGraph, check_splines
+from .graph import EdgeLabeledGraph, check_splines, components
 
 Vec = tuple[int, ...]
 
@@ -62,57 +62,33 @@ class CycleInstance:
 
 
 def is_connected(G: EdgeLabeledGraph) -> bool:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for a, b, _ in G.edges:
-                other = None
-                if a == v and b not in seen:
-                    other = b
-                elif b == v and a not in seen:
-                    other = a
-                if other is not None:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    return len(seen) == G.n
+    return not any(components(G.n, (e[:2] for e in G.edges)))
 
 
 def cycle_instance(G: EdgeLabeledGraph) -> CycleInstance:
-    """Arrange a cycle graph into consecutive-position form by walking it."""
+    """Arrange a cycle graph into consecutive-position form by walking it.
+
+    Checked up front: n >= 3 vertices, degree two everywhere (so n edges)
+    and one component.  That is one n-cycle with no doubled edge (it would
+    close a component of two), so every step of the walk from v1 has one
+    onward neighbor, and the walk returns to v1 after n edges.
+    """
     n = G.n
-    if n < 3 or len(G.edges) != n:
-        raise NotACycle(f"expected an n-cycle, got {n} vertices and {len(G.edges)} edges")
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, g in G.conditions:
         adj[u].append((v, g))
         adj[v].append((u, g))
-    if any(len(nb) != 2 for nb in adj.values()):
-        raise NotACycle("every vertex of a cycle has exactly two neighbors")
+    if n < 3 or any(len(nb) != 2 for nb in adj) or not is_connected(G):
+        raise NotACycle(f"graph with {n} vertices and {len(G.edges)} edges is not an n-cycle")
     # Walk from v1 toward its lower-indexed neighbor (deterministic).
-    order = [0]
-    labels = []
-    prev, cur = None, 0
-    for _ in range(n):
-        nbrs = sorted(adj[cur])
-        if prev is None:
-            nxt, g = nbrs[0]
-        else:
-            onward = [(w, l) for w, l in nbrs if w != prev]
-            if not onward:
-                raise NotACycle("parallel edges do not form a cycle")
-            nxt, g = onward[0]
+    order, labels = [0], []
+    for p in range(n):
+        prev = order[p - 1] if p else None
+        nxt, g = min(nb for nb in adj[order[p]] if nb[0] != prev)
         # canonical generator of the ideal: the zero ideal is 0, not m
         labels.append(0 if g == G.modulus else g)
-        prev, cur = cur, nxt
-        if cur == 0:
-            break
-        order.append(cur)
-    if len(order) != n or cur != 0:
-        raise NotACycle("graph is not a single cycle")
-    return CycleInstance(G, tuple(order), tuple(labels))
+        order.append(nxt)
+    return CycleInstance(G, tuple(order[:n]), tuple(labels))
 
 
 def _rotated(C: CycleInstance, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -240,10 +216,7 @@ def coprime_order_classes(m: int, m1: int, m2: int) -> tuple[int, int]:
 
 def leading_index(vec: Vec) -> int:
     """Index of the first nonzero entry (the leading vertex), len(vec) if none."""
-    for i, x in enumerate(vec):
-        if x:
-            return i
-    return len(vec)
+    return next((i for i, x in enumerate(vec) if x), len(vec))
 
 
 def mgs_merge(B: GeneratingSet, m: int, factors: tuple[int, ...]) -> GeneratingSet:
@@ -252,7 +225,7 @@ def mgs_merge(B: GeneratingSet, m: int, factors: tuple[int, ...]) -> GeneratingS
     Non-trivial members are grouped by the factor their additive order
     divides (factors must be pairwise coprime); each group is sorted by
     leading vertex, latest first, and the j-th members of all groups are
-    summed.  Leftover members pass through unchanged.
+    summed mod m, so a member left over is its own sum.
     """
     for i, fi in enumerate(factors):
         for fj in factors[i + 1 :]:
@@ -278,10 +251,7 @@ def mgs_merge(B: GeneratingSet, m: int, factors: tuple[int, ...]) -> GeneratingS
     merged: list[Vec] = [B.splines[0]]
     for j in range(width):
         members = [groups[f][j] for f in factors if j < len(groups[f])]
-        total = members[0]
-        for vec in members[1:]:
-            total = tuple((a + b) % m for a, b in zip(total, vec))
-        merged.append(total)
+        merged.append(tuple(sum(column) % m for column in zip(*members)))
     return GeneratingSet(
         tuple(merged),
         minimum=True,

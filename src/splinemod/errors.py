@@ -81,13 +81,18 @@ class BudgetExceeded(SplineError):
     """Enumeration would exceed the configured budget.
 
     The ``required`` attribute reports how large the budget would have to be.
+    Past the int-to-text digit limit, the message gives a power of two.
     """
 
     def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
+        try:
+            need = str(required)
+        except ValueError:
+            need = f"2**{required.bit_length() - 1} or more"
         super().__init__(
-            f"enumeration needs budget {required}, configured budget is {budget}"
+            f"enumeration needs budget {need}, configured budget is {budget}"
         )
 
 

@@ -136,7 +136,10 @@ def _text_int(token: str, what: str, lineno: int) -> int:
     # int() would also read "1_2" as 12 and the Arabic-Indic digit "٤" as 4
     if not _INTEGER.fullmatch(token):
         raise ParseError(f"bad {what} {token!r}", lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # past the interpreter's limit on the digits of an int
+        raise ParseError(f"{what} of {len(token)} characters is too long", lineno) from None
 
 
 def parse_graph(text: str) -> EdgeLabeledGraph:
@@ -223,6 +226,8 @@ def parse_graph_json(text: str) -> EdgeLabeledGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError:  # past the interpreter's limit on the digits of an int
+        raise ParseError("a JSON integer is too long") from None
     if not isinstance(obj, dict):
         raise ParseError(f"graph is not a JSON object: {obj!r}")
     try:
@@ -243,8 +248,11 @@ def parse_graph_json(text: str) -> EdgeLabeledGraph:
 
 
 def load_graph(path: str) -> EdgeLabeledGraph:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     if path.endswith(".json"):
         return parse_graph_json(text)
     return parse_graph(text)
@@ -310,6 +318,26 @@ def spline_check(G: EdgeLabeledGraph, values) -> bool:
     return first_failing(G, tuple(zip(values))) is None
 
 
+def components(n: int, pairs) -> list[int]:
+    """Entry v is the least vertex in v's component of the graph on 0..n-1
+    with edges ``pairs``; a pair may repeat or join a vertex to itself.
+
+    Union-find that links the larger root under the smaller.
+    """
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]  # path halving
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[max(ru, rv)] = min(ru, rv)
+    return [find(x) for x in range(n)]
+
+
 def normalize(G: EdgeLabeledGraph) -> tuple[EdgeLabeledGraph, NormalizationReport]:
     """Canonical form with the same spline module.
 
@@ -318,28 +346,15 @@ def normalize(G: EdgeLabeledGraph) -> tuple[EdgeLabeledGraph, NormalizationRepor
     takes its own gcd.  Unit edges (g = 1) are dropped, and the other input
     edges are grouped by the pair of merge classes they join.  A group's
     combined ideal is the intersection of its members', the lcm of their g;
-    where that is m, the zero ideal, the two classes merge.  The input
-    edges are regrouped until no group's lcm is m.  Each remaining group
-    becomes one edge labeled by its lcm, so the result is idempotent, and a
-    group of two or more input edges is reported as a collapsed parallel
-    edge under its pair of class representatives (their least original
-    indices).
+    where that is m, the zero ideal, the two classes merge: merge classes
+    from ``components`` over the zero pairs, then regroup, until no lcm is
+    m.  Each remaining group becomes one edge labeled by its lcm, so the
+    result is idempotent, and a group of two or more input edges is
+    reported as a collapsed parallel edge under its pair of class
+    representatives (their least original indices).
     """
     m = G.modulus
     n = G.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     work: list[Edge] = []
     dropped_units: list[Edge] = []
     for edge, condition in zip(G.edges, G.conditions):
@@ -349,22 +364,24 @@ def normalize(G: EdgeLabeledGraph) -> tuple[EdgeLabeledGraph, NormalizationRepor
         else:
             work.append(condition)
 
+    root = list(range(n))
+    merged: list[tuple[int, int]] = []
     while True:
         groups: dict[tuple[int, int], list[int]] = {}
         for u, v, g in work:
-            ru, rv = find(u), find(v)
+            ru, rv = root[u], root[v]
             if ru != rv:  # an edge inside a class holds for every spline
                 groups.setdefault((min(ru, rv), max(ru, rv)), []).append(g)
         ideals = {key: lcm(*gs) for key, gs in groups.items()}
         zero = [key for key, g in ideals.items() if g == m]
         if not zero:
             break
-        for u, v in zero:
-            union(u, v)
+        merged += zero
+        root = components(n, merged)
 
-    reps = sorted({find(i) for i in range(n)})
+    reps = sorted(set(root))
     rep_index = {r: k for k, r in enumerate(reps)}
-    merge_map = tuple(rep_index[find(i)] for i in range(n))
+    merge_map = tuple(rep_index[r] for r in root)
     vertices = tuple(G.vertices[r] for r in reps)
     keys = sorted(ideals)
     edges = tuple((rep_index[u], rep_index[v], ideals[u, v]) for u, v in keys)

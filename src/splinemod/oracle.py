@@ -78,8 +78,6 @@ def enumerate_splines(
     required = m**n
     if required > cap:
         raise BudgetExceeded(required, cap)
-    if m == 1:
-        return [(0,) * n]
     # Edges grouped by their later endpoint, largest g first.  A vertex with
     # no earlier neighbor steps by 1 through all of Z/m.
     constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]

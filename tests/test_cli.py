@@ -324,14 +324,6 @@ class TestSolve:
         assert "invariant factors: (6, 36)" in out
         assert "rank: 2" in out
 
-    def test_report_schema_frozen(self, capsys, tri36):
-        # byte-stable against the checked-in golden file, which holds the
-        # report with sorted keys; the layout itself is pinned by TestJsonOutput
-        assert cli.main(["solve", tri36, "--json"]) == 0
-        out = capsys.readouterr().out
-        golden = (GOLDEN / "tri36_solve.json").read_text()
-        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == golden
-
     def test_non_coprime_components_exit_4(self, capsys, tri36, monkeypatch):
         # a decomposition whose prime powers share a factor is a defect
         monkeypatch.setattr(
@@ -881,6 +873,79 @@ class TestInputErrors:
     def test_construct_nonpositive_modulus(self, capsys, m):
         assert cli.main(["construct", "3", m, "1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("bad.graph", b"mod 6\nvertices a b\nedge a b \xff\n"),
+            ("bad.json", b'{"mod": 6, "vertices": ["a", "b"], "edges": [["a", "\xff", 2]]}'),
+        ],
+    )
+    def test_not_utf8(self, capsys, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert cli.main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "UTF-8" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("long.graph", "mod 6\nvertices a b\nedge a b " + "7" * 5000 + "\n"),
+            ("long.json", '{"mod": 6, "vertices": ["a", "b"], "edges": [["a", "b", '
+             + "7" * 5000 + "]]}"),
+        ],
+    )
+    def test_label_past_the_digit_limit(self, capsys, tmp_path, name, text):
+        # int() refuses more than 4,300 digits; input stays bounded by that
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "too long" in captured.err
+        assert captured.out == ""
+        if name.endswith(".graph"):
+            assert "line 3" in captured.err
+
+
+class TestLongAnswers:
+    """Answers longer than the 4,300 digits str() writes by default."""
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        # (Z/10^120)^40, of order 10^4800
+        path = tmp_path / "big.graph"
+        names = " ".join(f"v{i}" for i in range(40))
+        path.write_text(f"mod 1{'0' * 120}\nvertices {names}\n")
+        return str(path)
+
+    def test_text(self, capsys, big):
+        limit = sys.get_int_max_str_digits()
+        assert cli.main(["solve", big]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        assert f"module order: 1{'0' * 4800}\n" in capsys.readouterr().out
+
+    def test_json(self, capsys, big):
+        limit = sys.get_int_max_str_digits()
+        assert cli.main(["solve", "--json", big]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(out)["order"] == 10**4800
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_verify_requirement_too_long_to_print(self, capsys, big):
+        # m**n = 10**4800 is written as the power of two below it
+        assert cli.main(["solve", "--verify", big]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: enumeration needs budget 2**15945 or more, "
+            "configured budget is 10000000\n"
+        )
+        assert captured.out == ""
 
 
 class TestConsoleScript:

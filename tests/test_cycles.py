@@ -69,6 +69,14 @@ class TestCycleInstance:
                 )
             )
 
+    def test_two_doubled_edges_rejected(self):
+        # every degree is two and there are four edges, but two components
+        G = EdgeLabeledGraph(
+            6, tuple("abcd"), ((0, 1, 2), (0, 1, 3), (2, 3, 2), (2, 3, 3))
+        )
+        with pytest.raises(NotACycle):
+            cycle_instance(G)
+
     def test_two_triangles_rejected(self):
         G = EdgeLabeledGraph(
             6,

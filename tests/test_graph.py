@@ -18,6 +18,7 @@ from splinemod.graph import (
     EdgeLabeledGraph,
     NormalizationReport,
     check_splines,
+    components,
     first_failing,
     load_graph,
     normalize,
@@ -313,6 +314,41 @@ class TestCheckSplines:
             with pytest.raises(InternalInconsistency) as exc:
                 check_splines(G, rows, "test vector")
             assert str(exc.value) == f"test vector {vector} fails an edge condition"
+
+
+class TestComponents:
+    @staticmethod
+    def reference(n, pairs):
+        # breadth-first search from each vertex not yet reached, in order,
+        # so every vertex is labeled by the least vertex of its class
+        adj = [[] for _ in range(n)]
+        for u, v in pairs:
+            adj[u].append(v)
+            adj[v].append(u)
+        root = [None] * n
+        for s in range(n):
+            if root[s] is None:
+                root[s] = s
+                queue = [s]
+                for x in queue:  # the loop visits what it appends
+                    for w in adj[x]:
+                        if root[w] is None:
+                            root[w] = s
+                            queue.append(w)
+        return root
+
+    def test_matches_breadth_first_search(self):
+        rng = random.Random(15)
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            pairs = [
+                (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))
+            ]
+            pairs += rng.sample(pairs, len(pairs) // 3)  # repeated pairs
+            root = components(n, pairs)
+            assert root == self.reference(n, pairs)
+            for v, r in enumerate(root):
+                assert r == min(w for w in range(n) if root[w] == r)
 
 
 class TestNormalize:

@@ -61,6 +61,8 @@ class TestEnumerate:
     def test_modulus_one(self):
         G = EdgeLabeledGraph(1, ("a", "b"), ((0, 1, 0),))
         assert enumerate_splines(G) == [(0, 0)]
+        with pytest.raises(BudgetExceeded):  # the budget is checked first
+            enumerate_splines(G, 0)
 
     def test_rejects_integer_mode(self):
         G = EdgeLabeledGraph(0, ("a", "b"), ((0, 1, 2),))

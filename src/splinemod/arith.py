@@ -13,9 +13,10 @@ from math import gcd
 
 from .errors import NonCoprimeModuli
 
-# Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10**24
-# (comfortably covers 64-bit inputs).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the prime bases 2..41 are proven for
+# every n < psi_13 = 3317044064679887385961981 (Sorenson and Webster, Math.
+# Comp. 2017); without 41 the composite psi_12 = 318665857834031151167461 passes.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = [2, 3, 5, 7]
 for _c in range(11, 1000, 2):

@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode
 
 from . import construct as construct_mod
 from .arith import additive_order, factorize
@@ -240,44 +242,64 @@ def _extend_report(args: argparse.Namespace) -> dict:
 def _json_text(value) -> str:
     """Exactly ``json.dumps(value, indent=2)`` for a report (string keys).
 
-    A tuple is written as ``json.dumps`` writes a list.  A list or tuple of
-    plain ints, the bulk of a report, is written with one join; every other
-    leaf goes through ``json.dumps``.  Reports repeat their vectors (the
-    generating set is also the display set, and over Z/p a component's
-    generating set is its flow-up set), so each distinct int vector is
-    written once per depth: a memo, made fresh for each call and handed down
-    ``_write``'s recursion, maps ``(tuple(vector), indent)`` to its text.
-    The report builders pass the tuples the solvers store, and ``tuple`` of
-    a tuple is the tuple itself, so the keys hold those vectors rather than
-    copies.  Only vectors whose elements are exactly ``int`` enter the memo,
-    since ``(True,) == (1,)`` but they print differently.  The memo is freed
-    on return, not left in a reference cycle for the garbage collector.
+    A tuple is written as ``json.dumps`` writes a list.  The bulk of a report
+    is written in whole-list passes, with no Python call per element: names
+    by the string encoder ``json.dumps`` uses, vectors and edges by ``_rows``.
+    Reports repeat their vectors (the generating set is also the display
+    set), so a memo, fresh for each call, maps the indent that closes an int
+    row to ``{row: text}``: each distinct row is formatted once per depth.
     """
     return _write(value, "\n", {})
 
 
-def _write(value, indent: str, memo: dict[tuple[tuple[int, ...], str], str]) -> str:
+def _write(value, indent: str, memo: dict[str, dict[tuple[int, ...], str]]) -> str:
     # indent: the newline and indentation before the closing bracket
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = (json.dumps(k) + ": " + _write(v, inner, memo) for k, v in value.items())
+        items = (_encode(k) + ": " + _write(v, inner, memo) for k, v in value.items())
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {int}:
-            key = (tuple(value), indent)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = (
-                    "[" + inner + ("," + inner).join(map(str, value)) + indent + "]"
-                )
-            return text
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    if kinds == {int}:
+        return next(_rows((value,), indent, memo))
+    items = None
+    if kinds == {str}:
+        items = map(_encode, value)
+    elif kinds <= {list, tuple}:
+        items = _rows(value, inner, memo)
+    if items is None:
         items = (_write(v, inner, memo) for v in value)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return json.dumps(value)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _rows(rows, indent: str, memo: dict[str, dict[tuple[int, ...], str]]):
+    """The texts of equal-length, nonempty rows closed by ``indent``, one
+    ``%s`` template filled per row; None unless each column holds only plain
+    ints or only plain strs.  Int rows enter the memo only after the whole
+    set passes that check, since ``(True,) == (1,)`` prints differently."""
+    rows = tuple(map(tuple, rows))
+    if len(set(map(len, rows))) > 1 or not rows[0]:
+        return None
+    inner = indent + "  "
+    fmt = "[" + inner + ("," + inner).join(["%s"] * len(rows[0])) + indent + "]"
+    if set(map(type, chain.from_iterable(rows))) == {int}:
+        texts = memo.setdefault(indent, {})
+        new = set(rows).difference(texts)
+        texts.update(zip(new, map(fmt.__mod__, new)))
+        return map(texts.__getitem__, rows)
+    columns = list(zip(*rows))
+    for i, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            columns[i] = map(_encode, column)
+        elif kinds != {int}:
+            return None
+    return map(fmt.__mod__, zip(*columns))
 
 
 def _vec(v) -> str:

@@ -38,7 +38,7 @@ class IntMatrix:
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         data = tuple(map(tuple, rows))
-        if data and any(len(row) != len(data[0]) for row in data):
+        if len(set(map(len, data))) > 1:
             raise ValueError("ragged rows")
         object.__setattr__(self, "entries", data)
 

@@ -41,6 +41,8 @@ class TestPrimality:
         assert is_prime(2**61 - 1)
         assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
         assert not is_prime((2**31 - 1) * (2**19 - 1))
+        # psi_12: the least strong pseudoprime to every prime base 2..37
+        assert not is_prime(318665857834031151167461)
 
     @given(st.integers(2, 10**6))
     def test_matches_trial_division(self, n):

@@ -683,8 +683,29 @@ _JSON_TEXT = st.text(
 ) | st.text(max_size=6)
 _JSON_INT = st.integers(min_value=-(2**70), max_value=2**70)
 _JSON_LEAF = _JSON_INT | st.booleans() | st.none() | _JSON_TEXT
+_ROW_INT = st.integers(-2, 2) | _JSON_INT
+
+
+@st.composite
+def _row_set(draw):
+    """Rows of one width, as tuples or lists, drawn from a small pool so
+    they repeat.  A column holds ints, names, or ints with now and then a
+    bool; one more row, of any width, may follow."""
+    width = draw(st.integers(0, 3))
+    columns = [
+        draw(st.sampled_from((_ROW_INT, _JSON_TEXT, _ROW_INT | st.booleans())))
+        for _ in range(width)
+    ]
+    pool = draw(st.lists(st.tuples(*columns), min_size=1, max_size=3))
+    rows = [
+        row if draw(st.booleans()) else list(row)
+        for row in draw(st.lists(st.sampled_from(pool), max_size=6))
+    ]
+    return rows + draw(st.lists(st.lists(_ROW_INT, max_size=3), max_size=1))
+
+
 _JSON_VALUE = st.recursive(
-    _JSON_LEAF | st.lists(_JSON_INT),
+    _JSON_LEAF | st.lists(_JSON_INT) | _row_set(),
     lambda inner: st.lists(inner) | st.dictionaries(_JSON_TEXT, inner),
     max_leaves=25,
 )
@@ -699,6 +720,15 @@ class TestJsonOutput:
     @example([[1], [True], [1]])
     @example({"x": [1, 2], "y": {"z": [1, 2]}})
     @example([[0, 1], (0, 1), [0, 1]])
+    @example([(1, 2), (3, 4), (1, 2)])
+    @example([(1, True), (2, 3)])
+    @example([(True, 2), (1, 2)])
+    @example({"a": [(1, 2)], "b": [(True, 2)], "c": [[1, 2]]})
+    @example([(1, 2), (3,)])
+    @example([(), ()])
+    @example([["a", "b\u00e9", 2], ("c", "d", 30)])
+    @example([["a", "b", 2], ["a", "b", True]])
+    @example({"x": [(1, 2), (1, 2)], "y": {"z": [(1, 2)]}, "w": (1, 2)})
     def test_writer_matches_json_dumps(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2)
 

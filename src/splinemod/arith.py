@@ -9,14 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import NonCoprimeModuli
 
-# Deterministic Miller-Rabin witness set: the prime bases 2..41 are proven for
-# every n < psi_13 = 3317044064679887385961981 (Sorenson and Webster, Math.
-# Comp. 2017); without 41 the composite psi_12 = 318665857834031151167461 passes.
+# Miller-Rabin witness set: the prime bases 2..41 decide every n < psi_13 =
+# 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017); without
+# 41 the composite psi_12 = 318665857834031151167461 passes.  psi_13 itself is
+# composite and passes them all, so from psi_13 on a strong Lucas test follows.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIMES = [2, 3, 5, 7]
 for _c in range(11, 1000, 2):
@@ -47,7 +49,10 @@ def additive_order(values: tuple[int, ...], m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality: trial division below 10**3, then Miller-Rabin."""
+    """Primality: trial division below 10**3, then Miller-Rabin to the prime
+    bases 2..41, which is deterministic below psi_13.  From psi_13 on a strong
+    Lucas test follows, which makes it the Baillie-PSW test (Baillie and
+    Wagstaff, Math. Comp. 1980): no composite is known to pass it."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -72,7 +77,61 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of an odd n > 1000 with Selfridge's parameters: D the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
+
+    With n + 1 = d * 2**s, d odd, n passes when U_d = 0 mod n or V_(d*2**r)
+    = 0 mod n for some 0 <= r < s; every prime not dividing Q does.
+    """
+    if isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1 when n is a square
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if j == 0:
+        return False  # |D| < n shares a factor with n
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:  # x / 2 mod n, n odd
+        x %= n
+        return (x + n) // 2 if x % 2 else x // 2
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q^1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # index doubled
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n  # index plus one
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ is built, each exactly once.
 The per-element work runs in C iterators.  The census counts the gcd of each
 spline's entries and turns each distinct gcd d into the order m / gcd(m, d)
 once.  The closure holds a coset as one column per coordinate and shifts a
-column by looking each entry up in a table of (a + g_i) mod m.
+column by looking each entry up in a table of (a + g_i) mod m.  The span
+check keeps no closure of its own: it strikes each coset off a copy of the
+spline set and answers False at the first coset that holds a non-spline.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from collections.abc import Collection, Sequence, Set as AbstractSet
+from collections.abc import Callable, Collection, Iterator, Sequence, Set as AbstractSet
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain, starmap
 from math import gcd, lcm, prod
 
 from .arith import factorize
@@ -199,6 +201,52 @@ def _factors_from_census(census: dict[int, int], m: int) -> tuple[int, ...]:
     return tuple(reversed(factors_desc))
 
 
+class _Shift(dict):
+    """The table a -> (a + step) mod m, each entry made on its first lookup."""
+
+    def __init__(self, step: int, m: int):
+        self.step, self.m = step, m
+
+    def __missing__(self, a: int) -> int:
+        self[a] = b = (a + self.step) % self.m
+        return b
+
+
+def _cosets(
+    generators: Sequence[tuple[int, ...]],
+    m: int,
+    n: int,
+    cap: int,
+    built: Callable[[tuple[int, ...]], bool],
+) -> Iterator[list[list[int]]]:
+    """Yield each new coset of the closure of the generators as n columns.
+
+    ``built(x)`` says whether x is in the closure so far: zero and every
+    coset yielded before.  The caller records each coset it is given.
+    """
+    parts = [[[0]] * n]  # the closure so far, as the columns of its cosets
+    size = 1
+    for g in generators:
+        g = tuple(x % m for x in g)
+        if built(g):
+            continue
+        coset = [list(chain.from_iterable(col)) for col in zip(*parts)]
+        parts = [coset]
+        shifts = [_Shift(x, m).__getitem__ if x else None for x in g]
+        base, multiple = size, g
+        while not built(multiple):
+            if size + base > cap:
+                raise BudgetExceeded(size + base, cap)
+            coset = [
+                list(map(shift, col)) if shift else col
+                for shift, col in zip(shifts, coset)
+            ]
+            yield coset
+            parts.append(coset)
+            size += base
+            multiple = tuple((a + x) % m for a, x in zip(multiple, g))
+
+
 def span(
     generators: Sequence[tuple[int, ...]],
     m: int,
@@ -217,30 +265,15 @@ def span(
     is raised exactly when the closure has more than ``budget`` elements,
     before the coset that passes it is built.
 
-    A coset is held as n columns.  Shifting it by g maps column i through
-    the table a -> (a + g_i) mod m, built over the residues in that column,
-    so a table is never larger than its column however large m is; a column
-    with g_i = 0 is kept as it is.  The rows of the shifted columns are the
-    new elements.
+    A coset is held as n columns.  Column i is shifted through a table
+    a -> (a + g_i) mod m, one per generator and column, filled as residues
+    are met, so it never outgrows its column however large m is; a column
+    with g_i = 0 is kept as it is.  The rows of the columns are the elements.
     """
     cap = resolve_budget(budget)
     closure = {(0,) * n}
-    for g in generators:
-        g = tuple(x % m for x in g)
-        if g in closure:
-            continue
-        coset = list(zip(*closure))
-        size = len(closure)
-        multiple = g
-        while multiple not in closure:
-            if len(closure) + size > cap:
-                raise BudgetExceeded(len(closure) + size, cap)
-            coset = [
-                list(map({a: (a + x) % m for a in set(col)}.__getitem__, col)) if x else col
-                for x, col in zip(g, coset)
-            ]
-            closure.update(zip(*coset))
-            multiple = tuple((a + x) % m for a, x in zip(multiple, g))
+    for coset in _cosets(generators, m, n, cap, closure.__contains__):
+        closure.update(zip(*coset))
     return closure
 
 
@@ -252,10 +285,30 @@ def span_equals(
 ) -> bool:
     """True iff the Z-span mod m of the generators is exactly the given set.
 
-    ``splines`` may be a list or a set; a set is compared as it stands.
+    ``splines`` may be a list or a set; a set is used as it stands and left
+    unchanged.  No closure is kept: a copy of the set loses each coset of
+    `span`'s closure as it is built.  The cosets are disjoint, so one that
+    removes fewer elements than it has holds an element outside the set,
+    and the answer is False there, before the rest of the span is built.
+    BudgetExceeded is raised as in `span` if the span passes the budget
+    first.
     """
-    if not splines:
-        return not generators
-    n = len(next(iter(splines)))
+    cap = resolve_budget(budget)
     members = splines if isinstance(splines, AbstractSet) else set(splines)
-    return span(generators, m, n, budget) == members
+    zero = (0,) * len(next(iter(members), ()))
+    if zero not in members:
+        return False
+    remaining = set(members)
+    remaining.discard(zero)
+
+    def built(x: tuple[int, ...]) -> bool:
+        # while every element built is a member, the closure is exactly
+        # members - remaining
+        return x in members and x not in remaining
+
+    for coset in _cosets(generators, m, len(zero), cap, built):
+        left = len(remaining)
+        remaining.difference_update(zip(*coset))
+        if left - len(remaining) < len(coset[0]):
+            return False
+    return not remaining

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splinemod.arith import (
+    _is_strong_lucas_probable_prime,
     crt_combine,
     factorize,
     is_prime,
@@ -43,6 +44,22 @@ class TestPrimality:
         assert not is_prime((2**31 - 1) * (2**19 - 1))
         # psi_12: the least strong pseudoprime to every prime base 2..37
         assert not is_prime(318665857834031151167461)
+        # psi_13: the least strong pseudoprime to every prime base 2..41,
+        # rejected by the strong Lucas test
+        assert not is_prime(3317044064679887385961981)
+        assert is_prime(2**89 - 1)
+        assert is_prime(10**19 + 51)
+
+    def test_strong_lucas_pseudoprimes(self):
+        # the odd composites below 26000 that pass the strong Lucas test with
+        # Selfridge's parameters (OEIS A217255); every prime passes it
+        passing = [n for n in range(1001, 26000, 2) if _is_strong_lucas_probable_prime(n)]
+        composite = [n for n in passing if not is_prime(n)]
+        assert composite == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+        assert len(passing) - len(composite) == sum(map(is_prime, range(1001, 26000)))
+        # a square has no D with (D/n) = -1, and the square of a large prime
+        # meets (D/n) = 0 only once |D| reaches that prime
+        assert not _is_strong_lucas_probable_prime((2**61 - 1) ** 2)
 
     @given(st.integers(2, 10**6))
     def test_matches_trial_division(self, n):

@@ -150,6 +150,33 @@ class TestSpan:
         assert span_equals([], [(0, 0)], 5)
         assert not span_equals([], [(0, 0), (1, 1)], 5)
 
+    def test_no_vertices(self):
+        assert span_equals([()], [()], 5)
+
+    def test_set_without_zero(self):
+        splines = set(enumerate_splines(Z6_PATH))
+        splines.discard((0, 0, 0))
+        assert not span_equals([(1, 1, 1), (0, 2, 3)], splines, 6)
+        assert not span_equals([], [], 6)
+
+    def test_non_spline_before_a_spanning_set(self):
+        splines = enumerate_splines(Z6_PATH)
+        assert not span_equals([(0, 1, 0), (1, 1, 1), (0, 2, 3)], splines, 6)
+
+    def test_callers_set_unchanged(self):
+        splines = set(enumerate_splines(Z6_PATH))
+        before = set(splines)
+        assert span_equals([(1, 1, 1), (0, 2, 3)], splines, 6)
+        assert splines == before
+        assert not span_equals([(1, 1, 1)], splines, 6)
+        assert not span_equals([(0, 1, 0)], splines, 6)
+        assert splines == before
+
+    def test_answers_false_before_the_span_passes_the_budget(self):
+        # the span of (1,) mod 10**12 is far past the default budget, but
+        # its first coset already holds a vector outside the set
+        assert not span_equals([(1,)], [(0,)], 10**12)
+
 
 # Naive references, kept here only: the breadth-first closure, a filter over
 # every labeling, and the lcm of the entries' orders.
@@ -248,6 +275,12 @@ class TestAgainstNaiveReferences:
             (a * m // 2, b * m // 4) for a in range(2) for b in range(4)
         }
 
+    def test_budget_on_a_large_modulus(self):
+        # the shift tables grow with the cosets built, not with m
+        with pytest.raises(BudgetExceeded) as exc:
+            span([(1,)], 10**12, 1, budget=50)
+        assert exc.value.required == 51
+
     def test_empty_generator_list(self):
         assert span([], 7, 3) == naive_span([], 7, 3) == {(0, 0, 0)}
 
@@ -263,6 +296,10 @@ class TestAgainstNaiveReferences:
             assert len(span(gens, m, n, budget=size)) == size
             with pytest.raises(BudgetExceeded):
                 span(gens, m, n, budget=size - 1)
+            closure = naive_span(gens, m, n)
+            assert span_equals(gens, closure, m, budget=size)
+            with pytest.raises(BudgetExceeded):
+                span_equals(gens, closure, m, budget=size - 1)
             checked += 1
 
     def test_additive_order_matches_lcm_of_entry_orders(self):

@@ -23,13 +23,18 @@ the normal forms are taken over Z, but each lattice here contains c*Z^n
 the normal forms: ``hnf`` keeps the entries below its current row in
 [0, c), and ``snf`` keeps its right transform mod m.  The Smith diagonal
 itself stays exact.
+
+The matrices pass from the dual system (two nonzeros per column) to the
+Smith transform as sparse columns, ``IntMatrix.nonzeros``, with no dense
+copy, identity or transpose between kernels; an edgeless graph takes the
+same path.  Dense vectors are built only for what is printed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations, compress
+from itertools import combinations, repeat
 from math import gcd, lcm, prod
 
 from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
@@ -102,27 +107,29 @@ def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
     together with c*Z^n.  Its Hermite form H, taken with the vertex rows in
     reverse so that H is upper triangular in vertex order, gives
     L = c*H^{-T}: an exact, lower triangular basis (integral because L lies
-    in Z^n), which one more Hermite form makes canonical.
+    in Z^n), which one more Hermite form makes canonical.  An edgeless
+    graph has an n x 0 dual system, whose Hermite form is c*I (c = 1, the
+    lcm of no labels, in integer mode), so its basis is the identity.
     """
     n = G.n
-    if not G.edges:
-        return IntMatrix.identity(n)
+    last = n - 1
     c = G.modulus or lcm(*(g for _, _, g in G.conditions))
     if c == 0:
         raise InternalInconsistency(
             "spline lattice is not full rank; was the graph normalized?"
         )
-    columns = []
-    for u, v, g in G.conditions:
-        col = [0] * n
-        col[u], col[v] = c // g, -(c // g)
-        columns.append(col[::-1])
+    dual = [{last - u: c // g, last - v: -(c // g)} for u, v, g in G.conditions]
     # With the vertex rows in reverse the echelon form is lower triangular
     # in reverse vertex order; reversing its rows and columns back gives H,
-    # upper triangular in vertex order, and its rows are the columns of H^T.
-    reverse = hnf(IntMatrix.from_columns(columns), c)
-    lower = IntMatrix.from_columns([row[::-1] for row in reversed(reverse.entries)])
-    return hnf(_scaled_inverse(lower, c), c)
+    # upper triangular in vertex order, and its rows are the columns of
+    # lower = H^T: entry (i, k) of the echelon form is entry (n-1-k, n-1-i)
+    # of lower.
+    reverse = hnf(IntMatrix.sparse(n, dual), c)
+    lower: list[dict[int, int]] = [{} for _ in range(n)]
+    for k, col in enumerate(reverse.nonzeros):
+        for i, x in col.items():
+            lower[last - i][last - k] = x
+    return hnf(_scaled_inverse(IntMatrix.sparse(n, lower), c), c)
 
 
 def pulled_back_lattice(
@@ -151,29 +158,28 @@ def _scaled_inverse(B: IntMatrix, m: int) -> IntMatrix:
     Each solved row checks that its division is exact.
     """
     n = B.nrows
-    E = B.entries
-    below = [[] for _ in range(n)]  # below[k]: (i, B[i][k]) for i > k, nonzeros
-    for i, row in enumerate(E):
-        for k in compress(range(i), row):
-            below[k].append((i, row[k]))
-    X = [[0] * n for _ in range(n)]
+    diagonal = [col[k] for k, col in enumerate(B.nonzeros)]
+    below = [[(i, b) for i, b in col.items() if i > k] for k, col in enumerate(B.nonzeros)]
+    X = []
     for j in range(n):
+        x = {}
         sums = {j: m}  # row i -> m*[i == j] - sum of B[i][k]*x_k so far
         pending = [j]
         while pending:
             i = heappop(pending)
-            q, r = divmod(sums.pop(i), E[i][i])
+            q, r = divmod(sums.pop(i), diagonal[i])
             if r:
                 raise InternalInconsistency("lattice does not contain m*Z^n")
             if q:
-                X[i][j] = q
+                x[i] = q
                 for k, b in below[i]:
                     if k in sums:
                         sums[k] -= b * q
                     else:
                         sums[k] = -b * q
                         heappush(pending, k)
-    return IntMatrix(X)
+        X.append(x)
+    return IntMatrix.sparse(n, X)
 
 
 def invariant_factors(G: EdgeLabeledGraph) -> SplineModule:
@@ -206,7 +212,7 @@ def normalized_module(
     B = integer_lattice(gnorm)
     d, V = snf(_scaled_inverse(B, m), m)
 
-    det_b = prod(B.entries[i][i] for i in range(B.nrows))
+    det_b = prod(col[j] for j, col in enumerate(B.nonzeros))
     # |L / m*Z^n| = m^n / det(B); the Smith diagonal must multiply to it.
     if prod(d) * det_b != m**gnorm.n:
         raise InternalInconsistency("Smith diagonal does not match lattice index")
@@ -214,9 +220,11 @@ def normalized_module(
     mod_m = m.__rmod__  # x -> x % m
     factors = []
     vectors = []
-    for dj, col in zip(d, V.columns()):
+    vertices = range(gnorm.n)
+    for dj, col in zip(d, V.nonzeros):
         if dj > 1:
-            vectors.append(tuple(map(mod_m, map((m // dj).__mul__, col))))
+            dense = map(col.get, vertices, repeat(0))
+            vectors.append(tuple(map(mod_m, map((m // dj).__mul__, dense))))
             factors.append(dj)
     k = len(vectors)
     for col in B.columns():

@@ -13,17 +13,23 @@ entries bounded while doing so:
 * ``snf(A, m)`` returns ``(d, V)``: the Smith diagonal d of A over Z, and a
   right transform V reduced mod m, such that U*A*V = diag(d) for some
   unimodular U, read mod m.  It pivots on a minimal-absolute-value nonzero
-  entry, breaking ties by (row, col) lexicographic order.  It holds its
-  working matrix as sparse rows and touches only their nonzero entries,
-  with the same pivots as a dense elimination, so a near-diagonal matrix
-  such as q*I costs no dense pass over the trailing block.
+  entry, breaking ties by (row, col) lexicographic order.
+
+An ``IntMatrix`` holds its shape and, for each column, a dict of its
+nonzero entries, so an n x 0 matrix keeps its n rows.  Both normal forms
+read and write only nonzero entries: the matrices the engine builds (the
+dual system, its Hermite forms, the scaled inverses and the Smith
+transform) are mostly zero.  ``entries`` (the rows) and ``columns()`` are
+dense views, built on each call, for the callers that read dense values:
+the tests, the pull-back of an integer-mode basis, and the benchmark's
+trace, which sizes each kernel's arguments by their entries.
 
 Matrices are immutable.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import repeat
 from math import gcd, inf
 from typing import Iterable, Sequence
 
@@ -31,41 +37,59 @@ from .arith import xgcd
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major.  The entries must be ints: each
-    row is stored as a tuple of the entries it is given, none converted."""
+    """Immutable integer matrix, stored by column.
 
-    __slots__ = ("entries",)
+    ``nonzeros[j]`` is a dict ``{row: value}`` of column j's nonzero
+    entries; it belongs to the matrix and is never changed.  The entries
+    must be ints, and none is converted.
+    """
+
+    __slots__ = ("nrows", "ncols", "nonzeros")
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         data = tuple(map(tuple, rows))
         if len(set(map(len, data))) > 1:
             raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", data)
+        columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*data)]
+        self._fill(len(data), columns)
+
+    def _fill(self, nrows: int, nonzeros: list[dict[int, int]]) -> None:
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", len(nonzeros))
+        object.__setattr__(self, "nonzeros", tuple(nonzeros))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    @classmethod
+    def sparse(cls, nrows: int, nonzeros: list[dict[int, int]]) -> "IntMatrix":
+        """The matrix with ``nrows`` rows whose column j has the nonzero
+        entries ``nonzeros[j]``; the dicts are kept, not copied, and must
+        hold no zero."""
+        A = cls.__new__(cls)
+        A._fill(nrows, nonzeros)
+        return A
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.sparse(n, [{j: 1} for j in range(n)])
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(zip(*cols))
 
     def columns(self) -> list[tuple[int, ...]]:
-        return list(zip(*self.entries))
+        rows = range(self.nrows)
+        return [tuple(map(col.get, rows, repeat(0))) for col in self.nonzeros]
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The rows, as a dense view."""
+        return tuple(zip(*self.columns())) if self.ncols else ((),) * self.nrows
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.entries == other.entries
+        same = isinstance(other, IntMatrix) and self.nrows == other.nrows
+        return same and self.nonzeros == other.nonzeros
 
     def __hash__(self) -> int:
         return hash(self.entries)
@@ -74,64 +98,97 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
-def hnf(A: IntMatrix, c: int) -> IntMatrix:
-    """Hermite basis of the lattice spanned by A's columns and c*Z^n.
-
-    Row r is processed by folding every remaining column into a pivot column
-    that starts as c*e_r, then reducing the finished columns in row r into
-    [0, pivot).  The column c*e_i is never touched before row i, so adding a
-    multiple of it is a unimodular column operation until then: every entry
-    below the current row may be replaced by its residue mod c.  The Hermite
-    basis is unique, so these reductions do not change it.
-    """
-    n = A.nrows
-    if n == 0 or c < 1:
-        raise ValueError("hnf requires at least one row and a positive c")
-    # Columns not yet folded into a pivot; at row r each holds its rows r
-    # onward, with entries in [0, c).
-    active = [[x % c for x in col] for col in A.columns()]
-    done: list[list[int]] = []  # finished pivot columns, full height
-    for r in range(n):
-        p = [0] * (n - r)
-        p[0] = c
-        rest = []
-        for col in active:
-            b = col[0]
-            if b:
-                a = p[0]
-                if b % a:
-                    g, x, y = xgcd(a, b)
-                    s, t = b // g, a // g
-                    p, col = (
-                        [(x * u + y * v) % c for u, v in zip(p, col)],
-                        [(t * v - s * u) % c for u, v in zip(p, col)],
-                    )
-                else:
-                    q = b // a
-                    col = [(v - q * u) % c for u, v in zip(p, col)]
-            del col[0]  # row r is zero now
-            if any(col):
-                rest.append(col)
-        active = rest
-        h = p[0]
-        tail = p[1:]
-        for col in done:
-            q = col[r] // h
-            if q:
-                col[r] -= q * h
-                col[r + 1 :] = [(v - q * u) % c for u, v in zip(tail, col[r + 1 :])]
-        done.append([0] * r + p)
-    return IntMatrix.from_columns(done)
-
-
-def _add_multiple(row: dict[int, int], src: dict[int, int], q: int) -> None:
-    """row += q * src on sparse rows, dropping entries that become zero."""
+def _add_multiple(row: dict[int, int], src: dict[int, int], q: int, m: int = 0) -> None:
+    """row += q * src on sparse vectors, reduced mod m unless m is 0,
+    dropping entries that become zero."""
     for j, b in src.items():
         x = row.get(j, 0) + q * b
+        if m:
+            x %= m
         if x:
             row[j] = x
         else:
             row.pop(j, None)
+
+
+def _combine(x: int, u: dict[int, int], y: int, v: dict[int, int], c: int) -> dict[int, int]:
+    """x*u + y*v mod c on sparse vectors, zeros dropped."""
+    out = {}
+    for i in u.keys() | v.keys():
+        z = (x * u.get(i, 0) + y * v.get(i, 0)) % c
+        if z:
+            out[i] = z
+    return out
+
+
+def hnf(A: IntMatrix, c: int) -> IntMatrix:
+    """Hermite basis of the lattice spanned by A's columns and c*Z^n.
+
+    Row r is processed by folding every remaining column with a nonzero in
+    row r into a pivot column that starts as c*e_r, then reducing the
+    finished columns in row r into [0, pivot).  The column c*e_i is never
+    touched before row i, so adding a multiple of it is a unimodular column
+    operation until then: every entry below the current row may be
+    replaced by its residue mod c.  The Hermite basis is unique, so neither
+    these reductions nor the order of the folds change it.
+
+    Only nonzero entries are visited.  The remaining columns wait in the
+    bucket of their first nonzero row, and each row keeps the finished
+    columns that may hold a nonzero there.
+    """
+    n = A.nrows
+    if n == 0 or c < 1:
+        raise ValueError("hnf requires at least one row and a positive c")
+    # lead[r]: the columns not yet folded whose first nonzero is in row r,
+    # with entries in [0, c)
+    lead: list[list[dict[int, int]]] = [[] for _ in range(n)]
+    for col in A.nonzeros:
+        col = {i: z for i, x in col.items() if (z := x % c)}
+        if col:
+            lead[min(col)].append(col)
+    done: list[dict[int, int]] = []  # finished pivot columns
+    # holders[i]: the finished columns that may hold a nonzero in row i
+    holders: list[set[int]] = [set() for _ in range(n)]
+    for r in range(n):
+        p = {r: c}
+        for col in lead[r]:
+            a, b = p[r], col[r]
+            if a == c:
+                # p is still c*e_r: x*p + y*col is y*col mod c, and the
+                # complement (a/g)*col - (b/g)*p is (c/g)*col mod c
+                g, _, y = xgcd(c, b) if c % b else (b, 0, 1)
+                s = c // g
+                p = col if y == 1 else {i: z for i, v in col.items() if (z := y * v % c)}
+                col = {i: z for i, v in col.items() if (z := s * v % c)}
+            elif b % a:
+                g, x, y = xgcd(a, b)
+                p, col = _combine(x, p, y, col, c), _combine(-(b // g), p, a // g, col, c)
+            else:
+                _add_multiple(col, p, -(b // a), c)
+            if col:  # row r is zero now
+                lead[min(col)].append(col)
+        h = p[r]
+        tail = [(i, u) for i, u in p.items() if i > r]
+        for k in holders[r]:
+            col = done[k]
+            q, x = divmod(col.get(r, 0), h)
+            if q:  # col -= q*p, its rows below r reduced mod c
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+                for i, u in tail:
+                    x = (col.get(i, 0) - q * u) % c
+                    if x:
+                        col[i] = x
+                        holders[i].add(k)
+                    else:
+                        col.pop(i, None)
+        for i, _ in tail:
+            holders[i].add(r)
+        lead[r] = holders[r] = None  # row r is finished
+        done.append(p)
+    return IntMatrix.sparse(n, done)
 
 
 def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
@@ -141,28 +198,25 @@ def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
     other, and zeros trail.  The row operations of the elimination are not
     recorded; every column operation is applied to V mod m as it is made.
 
-    The working matrix is held as sparse rows ``{col: value}`` and every
-    row or column operation visits only their nonzero entries.  Once pivot
-    t is done its row and column hold nothing else, so rows t onward are
-    zero left of column t.  Each row's least nonzero |entry| and the gcd of
-    its entries are kept as the row changes, so the pivot search (least
-    |entry|, first in row-major order) and the divisibility check of the
-    trailing block read one number per row.
+    The working matrix is held as sparse rows ``{col: value}``, transposed
+    from A's columns, and V as sparse columns; every row or column
+    operation visits only their nonzero entries.  Once pivot t is done its
+    row and column hold nothing else, so rows t onward are zero left of
+    column t.  Each row's least nonzero |entry| and the gcd of its entries
+    are kept as the row changes, so the pivot search (least |entry|, first
+    in row-major order) and the divisibility check of the trailing block
+    read one number per row.
     """
     if A.nrows == 0 or A.ncols == 0 or m < 1:
         raise ValueError("snf requires a nonempty matrix and a positive m")
     rows, cols = A.nrows, A.ncols
-    S = [{j: row[j] for j in compress(range(cols), row)} for row in A.entries]
+    S: list[dict[int, int]] = [{} for _ in range(rows)]
+    for j, col in enumerate(A.nonzeros):
+        for i, x in col.items():
+            S[i][j] = x
     least = [min(map(abs, row.values()), default=inf) for row in S]
     gcds = [gcd(*row.values()) for row in S]
-    V = [[0] * cols for _ in range(cols)]  # by column
-    for j in range(cols):
-        V[j][j] = 1 % m
-
-    def changed(i: int) -> None:
-        entries = S[i].values()
-        least[i] = min(map(abs, entries), default=inf)
-        gcds[i] = gcd(*entries)
+    V = [{j: 1} if m > 1 else {} for j in range(cols)]  # by column, mod m
 
     t = 0
     while t < min(rows, cols):
@@ -202,10 +256,14 @@ def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
                             row[j] = x
                         else:
                             row.pop(j, None)
-                    V[j] = [(a - q * c) % m for a, c in zip(V[j], vt)]
+                    _add_multiple(V[j], vt, -q % m, m)  # q grows with S; V is mod m
                 dirty = dirty or j in top
-            for i in [t] + hit:
-                changed(i)
+            # Row t is {t: p} when the pivot is alone, and is then read only
+            # if the divisibility check below adds a row to it.
+            for i in [t] + hit if dirty else hit:
+                entries = S[i].values()
+                least[i] = min(map(abs, entries), default=inf)
+                gcds[i] = gcd(*entries)
             if not dirty:
                 # Pivot is alone in its row and column; enforce divisibility
                 # of the remaining submatrix before locking it in.
@@ -213,11 +271,11 @@ def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
                     break
                 offender = next(i for i in range(t + 1, rows) if gcds[i] % p)
                 _add_multiple(top, S[offender], 1)
-                changed(t)
+                least[t], gcds[t] = min(map(abs, top.values())), gcd(*top.values())
             low = min(least[t:])
         if S[t][t] < 0:
             S[t] = {j: -x for j, x in S[t].items()}
         t += 1
 
     d = tuple(S[i].get(i, 0) for i in range(min(rows, cols)))
-    return d, IntMatrix.from_columns(V)
+    return d, IntMatrix.sparse(cols, V)

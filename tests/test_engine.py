@@ -1,5 +1,6 @@
 import pathlib
 import random
+import time
 from collections import Counter
 from math import gcd, lcm
 
@@ -13,6 +14,7 @@ from splinemod.engine import (
     extension_analysis,
     integer_lattice,
     invariant_factors,
+    pulled_back_lattice,
     rank,
 )
 from splinemod.errors import InternalInconsistency, InvalidModulus, NotAnExtension
@@ -55,8 +57,18 @@ class TestIntegerLattice:
         assert column_lattices_equal(B, expected)
 
     def test_edgeless_identity(self):
-        G = EdgeLabeledGraph(5, ("a", "b", "c"), ())
-        assert integer_lattice(G) == IntMatrix.identity(3)
+        # the dual system is 3 x 0, its Hermite form c*I (c = m, or the lcm
+        # of no labels, 1, in integer mode), and the basis the identity
+        units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for m in (0, 1, 5, 7):
+            G = EdgeLabeledGraph(m, ("a", "b", "c"), ())
+            assert integer_lattice(G) == IntMatrix.identity(3)
+            if m == 0:
+                assert pulled_back_lattice(G)[0] == units
+                continue
+            kept = units if m > 1 else ()
+            module = SplineModule(m, (m,) * len(kept), kept, (m,) * 3, kept)
+            assert invariant_factors(G) == module
 
     def test_triangular_and_contains_m(self):
         rng = random.Random(5)
@@ -213,6 +225,22 @@ class TestInvariantFactors:
         mod = invariant_factors(k4)
         assert mod.invariant_factors == (6,)
         assert mod.rank == 1
+
+    def test_reach_on_a_long_path(self):
+        # A tree's module is Z/m plus Z/(m/gcd(label, m)) per edge
+        # (Gilbert-Polster-Tymoczko): 500 edges labeled 2 give Z/6 and 499
+        # labeled 6 give Z/2, so |R| = 12 * 6^500 * 2^499.
+        n = 1000
+        G = EdgeLabeledGraph(
+            12,
+            tuple(f"v{i}" for i in range(n)),
+            tuple((i, i + 1, 6 if i % 2 else 2) for i in range(n - 1)),
+        )
+        start = time.perf_counter()
+        mod = invariant_factors(G)
+        assert time.perf_counter() - start < 5.0
+        assert mod.invariant_factors == (2,) * 499 + (6,) * 500 + (12,)
+        assert mod.order == 12 * 6**500 * 2**499
 
     def test_mgs_orders_match_factors(self):
         rng = random.Random(13)

@@ -110,11 +110,111 @@ def spans_same_lattice(A: IntMatrix, H: IntMatrix) -> bool:
     return True
 
 
+def diagonal(*d: int) -> IntMatrix:
+    return IntMatrix([[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)])
+
+
+def wide_two_per_column(rng: random.Random, n: int, e: int, big: bool = False) -> IntMatrix:
+    """n x e, two nonzeros per column, as the dual system has, with entries
+    of either sign (past 2^64 when ``big``)."""
+    bound = 2**70 if big else 40
+    cols = []
+    for _ in range(e):
+        col = [0] * n
+        for i in rng.sample(range(n), 2):
+            col[i] = rng.choice([-1, 1]) * rng.randint(1, bound)
+        cols.append(col)
+    return IntMatrix.from_columns(cols)
+
+
+# Structured sparse inputs: (name, A, c), with c the modulus for hnf and snf.
+STRUCTURED = [
+    ("identity", IntMatrix.identity(6), 12),
+    ("scalar", scalar_matrix(9, 5), 9),
+    ("distinct diagonal", diagonal(4, 9, 25, 7), 60),
+    ("diagonal of divisors", diagonal(6, 1, 4, 3, 12, 2), 12),
+    ("wide dual-like", wide_two_per_column(random.Random(3), 7, 15), 30),
+    ("wide, few columns", wide_two_per_column(random.Random(4), 9, 4), 36),
+    ("wide, past 2^64", wide_two_per_column(random.Random(5), 6, 10, big=True), 2310),
+    ("zero row and column", IntMatrix([[3, 0, 4, 1], [0, 0, 0, 0], [5, 0, -6, 2], [7, 0, 1, 0]]), 60),
+    ("negative, past 2^64", IntMatrix([[-(2**70), 3, 0], [5, 2**65 + 1, 0], [0, -(2**64), -7]]), 210),
+]
+
+
+class TestStructuredSparse:
+    """The kernels against the dense references on structured sparse input."""
+
+    @pytest.mark.parametrize("name, A, c", STRUCTURED)
+    def test_hnf(self, name, A, c):
+        assert hnf(A, c) == reference_lattice_hnf(A, c)
+
+    @pytest.mark.parametrize("name, A, c", STRUCTURED)
+    def test_snf(self, name, A, c):
+        d, V = snf(A, c)
+        ref_d, _, ref_V = reference_snf(A)
+        assert d == ref_d
+        assert V == reduced(ref_V, c)
+
+    @pytest.mark.parametrize("name, A, c", STRUCTURED)
+    def test_scaled_inverse_of_the_hermite_basis(self, name, A, c):
+        B = hnf(A, c)  # lower triangular, and its lattice contains c*Z^n
+        X = engine._scaled_inverse(B, c)
+        assert matmul(B, X) == scalar_matrix(c, B.nrows)
+
+    @pytest.mark.parametrize(
+        "rows, m",
+        [
+            ([[1, 0], [2**70, 1]], 5),
+            ([[-3, 0], [5, 1]], 3),
+            ([[2, 0, 0], [0, 3, 0], [-(2**66), 0, 6]], 6),
+        ],
+    )
+    def test_scaled_inverse_negative_and_big(self, rows, m):
+        B = IntMatrix(rows)
+        assert matmul(B, engine._scaled_inverse(B, m)) == scalar_matrix(m, B.nrows)
+
+
 class TestIntMatrix:
     def test_immutability(self):
         A = IntMatrix([[1, 2], [3, 4]])
         with pytest.raises(AttributeError):
             A.entries = ()
+        with pytest.raises(AttributeError):
+            A.nrows = 3
+
+    def test_dense_views(self):
+        rows = ((1, 0, -2), (0, 0, 0), (2**70, 5, 0))
+        A = IntMatrix(rows)
+        assert A.entries == rows
+        cols = [(1, 0, 2**70), (0, 0, 5), (-2, 0, 0)]
+        assert IntMatrix.from_columns(cols).columns() == cols
+        assert A.columns() == cols
+        assert A.nonzeros == ({0: 1, 2: 2**70}, {2: 5}, {0: -2})
+
+    def test_equal_however_built(self):
+        dense = IntMatrix([[1, 0], [0, 1]])
+        built = (
+            IntMatrix.identity(2),
+            IntMatrix.from_columns([(1, 0), (0, 1)]),
+            IntMatrix.sparse(2, [{0: 1}, {1: 1}]),
+        )
+        for other in built:
+            assert other == dense
+            assert hash(other) == hash(dense)
+            assert repr(other) == repr(dense) == "IntMatrix([[1, 0], [0, 1]])"
+        assert IntMatrix([[1, 0], [0, 2]]) != dense
+        assert IntMatrix([[1, 0, 0], [0, 1, 0]]) != dense
+
+    def test_n_by_0_keeps_its_rows(self):
+        A = IntMatrix.sparse(3, [])
+        assert (A.nrows, A.ncols) == (3, 0)
+        assert A == IntMatrix([[], [], []])
+        assert hash(A) == hash(IntMatrix([[], [], []]))
+        assert A != IntMatrix.sparse(2, [])
+        assert A.entries == ((), (), ())
+        assert A.columns() == []
+        assert repr(A) == "IntMatrix([[], [], []])"
+        assert hnf(A, 4) == scalar_matrix(4, 3)
 
     def test_matmul_identity(self):
         A = IntMatrix([[1, 2], [3, 4]])

@@ -10,8 +10,9 @@ finite quotient L / m*Z^n.  Everything follows from normal forms:
 * a triangular (flow-up) basis B of L, built from the dual lattice.
   Because m*Z^n lies in L, the dual L^* lies between Z^n and (1/m)*Z^n,
   so m*L^* is the integer lattice spanned by the columns (m/g_e)(e_u - e_v)
-  together with m*Z^n.  Its Hermite form H gives B = m*H^{-T} exactly, and
-  a second Hermite form makes B canonical;
+  together with m*Z^n.  Its Hermite form H gives B = m*H^{-T} exactly,
+  lower triangular with the Hermite pivots already on its diagonal, so a
+  back-reduction (``triangular_hnf``) makes B canonical;
 * the Smith normal form of m*B^{-1} (an integer matrix), whose diagonal is
   the invariant-factor chain of the quotient and whose right transform hands
   back a minimum generating set.
@@ -27,19 +28,22 @@ itself stays exact.
 The matrices pass from the dual system (two nonzeros per column) to the
 Smith transform as sparse columns, ``IntMatrix.nonzeros``, with no dense
 copy, identity or transpose between kernels; an edgeless graph takes the
-same path.  Dense vectors are built only for what is printed.
+same path.  The printed vectors are reduced from those columns and
+written, nonzeros only, into one vertex-major block (one row per vertex),
+which is pulled back, checked and transposed once into dense tuples.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations, repeat
+from itertools import combinations
 from math import gcd, lcm, prod
 
 from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
 from .graph import EdgeLabeledGraph, NormalizationReport, check_splines, normalize
-from .matrix import IntMatrix, hnf, snf
+from .matrix import IntMatrix, hnf, snf, triangular_hnf
 
 
 @dataclass(frozen=True)
@@ -107,9 +111,10 @@ def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
     together with c*Z^n.  Its Hermite form H, taken with the vertex rows in
     reverse so that H is upper triangular in vertex order, gives
     L = c*H^{-T}: an exact, lower triangular basis (integral because L lies
-    in Z^n), which one more Hermite form makes canonical.  An edgeless
-    graph has an n x 0 dual system, whose Hermite form is c*I (c = 1, the
-    lcm of no labels, in integer mode), so its basis is the identity.
+    in Z^n) whose diagonal holds the Hermite pivots, so the back-reduction
+    of ``triangular_hnf`` makes it canonical.  An edgeless graph has an
+    n x 0 dual system, whose Hermite form is c*I (c = 1, the lcm of no
+    labels, in integer mode), so its basis is the identity.
     """
     n = G.n
     last = n - 1
@@ -129,7 +134,7 @@ def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
     for k, col in enumerate(reverse.nonzeros):
         for i, x in col.items():
             lower[last - i][last - k] = x
-    return hnf(_scaled_inverse(IntMatrix.sparse(n, lower), c), c)
+    return triangular_hnf(_scaled_inverse(IntMatrix.sparse(n, lower), c), c)
 
 
 def pulled_back_lattice(
@@ -142,9 +147,20 @@ def pulled_back_lattice(
     condition of G; the normalization report is returned alongside.
     """
     gnorm, report = normalize(G)
-    rows = report.pull_back(integer_lattice(gnorm).entries)
+    rows = report.pull_back(_vertex_major(gnorm.n, integer_lattice(gnorm).nonzeros))
     check_splines(G, rows, "lattice basis column")
     return tuple(zip(*rows)), report
+
+
+def _vertex_major(n: int, vectors: Sequence[dict[int, int]]) -> list[list[int]]:
+    """The vertex-major block of sparse vectors on n vertices: row i holds
+    every vector's value at vertex i.  Only the nonzeros are written, so
+    the Python-level work follows them, not the size of the block."""
+    rows = [[0] * len(vectors) for _ in range(n)]
+    for j, vector in enumerate(vectors):
+        for i, x in vector.items():
+            rows[i][j] = x
+    return rows
 
 
 def _scaled_inverse(B: IntMatrix, m: int) -> IntMatrix:
@@ -197,12 +213,14 @@ def normalized_module(
     """``invariant_factors(G)`` for a caller that already holds
     ``(gnorm, report) = normalize(G)``.
 
-    The generators and the flow-up vectors are built on the normalized
-    vertices and transposed once into a vertex-major block (one row per
-    vertex).  Pulling the block back through the vertex merges indexes its
-    rows, so the vertices of one merge class share one row object.  The
-    whole block, generators first, is checked against every edge condition
-    of G in one ``check_splines`` call, and transposed back once.
+    The generators (V's columns scaled by m/d_j) and the flow-up vectors
+    (B's columns) are reduced mod m as sparse vectors on the normalized
+    vertices, a flow-up vector that vanishes mod m dropped, and their
+    nonzeros are written into a vertex-major block (one row per vertex).
+    Pulling the block back through the vertex merges indexes its rows, so
+    the vertices of one merge class share one row object.  The whole
+    block, generators first, is checked against every edge condition of G
+    in one ``check_splines`` call, and transposed once into the vectors.
     """
     m = G.modulus
     if m == 0:
@@ -217,23 +235,23 @@ def normalized_module(
     if prod(d) * det_b != m**gnorm.n:
         raise InternalInconsistency("Smith diagonal does not match lattice index")
 
-    mod_m = m.__rmod__  # x -> x % m
     factors = []
     vectors = []
-    vertices = range(gnorm.n)
     for dj, col in zip(d, V.nonzeros):
         if dj > 1:
-            dense = map(col.get, vertices, repeat(0))
-            vectors.append(tuple(map(mod_m, map((m // dj).__mul__, dense))))
+            s = m // dj
+            vectors.append({i: z for i, x in col.items() if (z := s * x % m)})
             factors.append(dj)
     k = len(vectors)
-    for col in B.columns():
-        reduced = tuple(map(mod_m, col))
-        if any(reduced):
+    for col in B.nonzeros:
+        reduced = {i: z for i, x in col.items() if (z := x % m)}
+        if reduced:
             vectors.append(reduced)
 
     # m = 1 leaves no vector: the block is then one empty row per vertex
-    rows = report.pull_back(list(zip(*vectors)) or [()] * gnorm.n)
+    rows = report.pull_back(_vertex_major(gnorm.n, vectors))
+    # the block holds every value now: free the dicts before the transpose
+    del vectors
     check_splines(G, rows, "generated vector")
     columns = tuple(zip(*rows))
     return SplineModule(m, tuple(factors), columns[:k], d, columns[k:])

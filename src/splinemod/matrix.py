@@ -9,7 +9,8 @@ entries bounded while doing so:
   basis with positive pivots whose entries left of each pivot lie in
   [0, pivot).  With rows indexed by an ordered vertex list its columns are
   flow-up vectors.  Every entry below the row being processed stays in
-  [0, c).
+  [0, c).  ``triangular_hnf(X, c)`` is the same form for a lower-triangular
+  X whose columns already span such a lattice: only the back-reduction.
 * ``snf(A, m)`` returns ``(d, V)``: the Smith diagonal d of A over Z, and a
   right transform V reduced mod m, such that U*A*V = diag(d) for some
   unimodular U, read mod m.  It pivots on a minimal-absolute-value nonzero
@@ -20,9 +21,9 @@ nonzero entries, so an n x 0 matrix keeps its n rows.  Both normal forms
 read and write only nonzero entries: the matrices the engine builds (the
 dual system, its Hermite forms, the scaled inverses and the Smith
 transform) are mostly zero.  ``entries`` (the rows) and ``columns()`` are
-dense views, built on each call, for the callers that read dense values:
-the tests, the pull-back of an integer-mode basis, and the benchmark's
-trace, which sizes each kernel's arguments by their entries.
+dense views, built on each call, read only by the tests and by the
+benchmark's trace, which sizes each kernel's arguments by their entries;
+the engine reads ``nonzeros`` alone.
 
 Matrices are immutable.
 """
@@ -136,13 +137,32 @@ def hnf(A: IntMatrix, c: int) -> IntMatrix:
     bucket of their first nonzero row, and each row keeps the finished
     columns that may hold a nonzero there.
     """
+    return _hermite(A, c, fold=True)
+
+
+def triangular_hnf(X: IntMatrix, c: int) -> IntMatrix:
+    """``hnf(X, c)`` for a lower-triangular X with a positive diagonal whose
+    columns already span a lattice containing c*Z^n.
+
+    The Hermite pivots of such a lattice are X's diagonal, so nothing needs
+    folding: column r, its entries below the diagonal reduced mod c, is the
+    pivot column of row r, and only the back-reduction of ``hnf`` is left.
+    The reduction keeps the span, because the columns stay in the lattice
+    and the diagonal, and with it the index, does not change.
+    """
+    return _hermite(X, c, fold=False)
+
+
+def _hermite(A: IntMatrix, c: int, fold: bool) -> IntMatrix:
+    """``hnf(A, c)``, or with ``fold`` False ``triangular_hnf(A, c)``: the
+    two differ only in where each row's pivot column comes from."""
     n = A.nrows
     if n == 0 or c < 1:
         raise ValueError("hnf requires at least one row and a positive c")
     # lead[r]: the columns not yet folded whose first nonzero is in row r,
-    # with entries in [0, c)
+    # with entries in [0, c); without the fold there are none
     lead: list[list[dict[int, int]]] = [[] for _ in range(n)]
-    for col in A.nonzeros:
+    for col in A.nonzeros if fold else ():
         col = {i: z for i, x in col.items() if (z := x % c)}
         if col:
             lead[min(col)].append(col)
@@ -150,7 +170,12 @@ def hnf(A: IntMatrix, c: int) -> IntMatrix:
     # holders[i]: the finished columns that may hold a nonzero in row i
     holders: list[set[int]] = [set() for _ in range(n)]
     for r in range(n):
-        p = {r: c}
+        if fold:
+            p = {r: c}
+        else:  # A's column r, reduced mod c below the diagonal
+            col = A.nonzeros[r]
+            p = {i: z for i, x in col.items() if i > r and (z := x % c)}
+            p[r] = col[r]
         for col in lead[r]:
             a, b = p[r], col[r]
             if a == c:

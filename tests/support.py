@@ -7,8 +7,9 @@ import random
 from math import gcd
 
 from splinemod.arith import crt_combine, xgcd
-from splinemod.graph import EdgeLabeledGraph
-from splinemod.matrix import IntMatrix
+from splinemod.engine import _scaled_inverse, integer_lattice
+from splinemod.graph import EdgeLabeledGraph, normalize
+from splinemod.matrix import IntMatrix, snf
 
 
 def nonunit_labels(m: int) -> list[int]:
@@ -265,3 +266,35 @@ def reference_spline_check(G: EdgeLabeledGraph, values) -> bool:
         if (diff != 0) if g == 0 else (diff % g != 0):
             return False
     return True
+
+
+# Reference module vectors: the dense construction that
+# ``engine.normalized_module`` and ``engine.pulled_back_lattice`` replaced
+# with a block written from the nonzeros.
+
+
+def reference_module_vectors(G: EdgeLabeledGraph):
+    """``(invariant_factors, mgs, raw_diagonal, flow_up)`` of G's module, or
+    in integer mode its pulled-back lattice basis columns, with every vector
+    built as a dense tuple and the set transposed into a vertex-major block
+    to be pulled back."""
+    gnorm, report = normalize(G)
+    B = integer_lattice(gnorm)
+    m = G.modulus
+    if m == 0:
+        return tuple(zip(*report.pull_back(B.entries)))
+    d, V = snf(_scaled_inverse(B, m), m)
+    factors, vectors = [], []
+    for dj, col in zip(d, V.columns()):
+        if dj > 1:
+            vectors.append(tuple((m // dj) * x % m for x in col))
+            factors.append(dj)
+    k = len(vectors)
+    for col in B.columns():
+        reduced = tuple(x % m for x in col)
+        if any(reduced):
+            vectors.append(reduced)
+    # m = 1 leaves no vector: the block is then one empty row per vertex
+    rows = report.pull_back(list(zip(*vectors)) or [()] * gnorm.n)
+    columns = tuple(zip(*rows))
+    return tuple(factors), columns[:k], d, columns[k:]

@@ -840,11 +840,20 @@ class TestHumanOutput:
         "ext12": "mod 12\nvertices a b c\nedge a b 2\nedge b c 8\n",
         "base0": "mod 0\nvertices a b\nedge a b 2\n",
         "ext0": "mod 0\nvertices a b c\nedge a b 2\nedge b c 6\nedge a c 3\n",
+        # mod 30 with labels 0, 6, 10, 15 and units: each prime merges some
+        # classes and drops some edges, so every Z/p component is edgeless
+        "n8m30": (
+            "mod 30\nvertices a b c d e f g h\nedge a b 6\nedge b c 10\n"
+            "edge c d 15\nedge d e 0\nedge e f 7\nedge f g 6\nedge g h 11\n"
+            "edge h a 10\nedge a e 15\nedge b f 1\nedge c g 13\nedge f h 2\n"
+            "edge b d 3\n"
+        ),
     }
 
     PATHS = [
         ("solve_tri36", ["solve", "{tri36}"]),
         ("solve_tri36_crt", ["solve", "{tri36}", "--crt"]),
+        ("solve_n8_m30_crt", ["solve", "{n8m30}", "--crt"]),
         ("solve_tri36_verify", ["solve", "{tri36}", "--verify"]),
         ("solve_integer", ["solve", "{int}"]),
         ("cycle_c21", ["cycle", "{c21}"]),

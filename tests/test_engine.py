@@ -31,6 +31,7 @@ from support import (
     matmul,
     nonunit_labels,
     random_connected_graph,
+    reference_module_vectors,
 )
 
 Z6_PATH = EdgeLabeledGraph(6, ("v1", "v2", "v3"), ((0, 1, 2), (0, 2, 3)))
@@ -200,6 +201,51 @@ class TestFlowUp:
     def test_modulus_one_empty(self):
         G = EdgeLabeledGraph(1, ("a", "b"), ((0, 1, 0),))
         assert invariant_factors(G).flow_up == ()
+
+
+class TestModuleVectors:
+    """The generators, the flow-up set and the integer-mode basis are
+    written into their block from the nonzeros; the reference builds every
+    vector dense.  The two must agree on graphs with merges, unit drops and
+    zero labels."""
+
+    @staticmethod
+    def random_graph(rng, m):
+        n = rng.randrange(1, 9)
+        if m:
+            units = [u for u in range(1, 2 * m + 2) if gcd(u, m) == 1]
+            proper = rng.sample(range(1, m), min(m - 1, 6))
+            labels = [0, m, -m, rng.choice(units), *proper]
+        else:
+            labels = [0, 0, 1, -1, *range(2, 13), 30]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = tuple(
+            (u, v, rng.choice(labels))
+            for u, v in rng.sample(pairs, rng.randrange(len(pairs) + 1))
+        )
+        return EdgeLabeledGraph(m, tuple(f"v{i}" for i in range(n)), edges)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 12, 30, 36, 64, 30030])
+    def test_matches_dense_reference(self, m):
+        rng = random.Random(53 + m)
+        merged = dropped = 0
+        for _ in range(40):
+            G = self.random_graph(rng, m)
+            gnorm, report = normalize(G)
+            merged += gnorm.n < G.n
+            dropped += bool(report.dropped_unit_edges)
+            if m in (2, 7):
+                assert gnorm.edges == ()  # a prime leaves an edgeless graph
+            reference = reference_module_vectors(G)
+            if m:
+                mod = invariant_factors(G)
+                got = mod.invariant_factors, mod.mgs, mod.raw_diagonal, mod.flow_up
+                assert got == reference
+                if m == 1:
+                    assert got[1] == got[3] == ()
+            else:
+                assert pulled_back_lattice(G)[0] == reference
+        assert merged and (dropped or m == 1)  # mod 1 every edge merges
 
 
 class TestInvariantFactors:

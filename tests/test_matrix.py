@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from splinemod import engine
 from splinemod.decompose import decompose
 from splinemod.graph import normalize
-from splinemod.matrix import IntMatrix, hnf, snf
+from splinemod.matrix import IntMatrix, hnf, snf, triangular_hnf
 from support import (
     det,
     matmul,
@@ -278,18 +279,20 @@ class TestHnf:
     def test_matches_reference(self, A, c):
         assert hnf(A, c) == reference_lattice_hnf(A, c)
 
-    def test_matches_reference_on_dual_matrices(self, monkeypatch):
-        # Both Hermite forms of the engine's lattice construction, recorded
-        # on random graphs mod m and in integer mode (c the lcm of the labels).
+    @staticmethod
+    def engine_calls(monkeypatch, name, form, seed):
+        """The (A, c, answer) of every ``name`` call the engine's lattice
+        construction makes, recorded on random graphs mod m and in integer
+        mode (c the lcm of the labels)."""
         calls = []
 
         def recording(A, c):
-            H = hnf(A, c)
+            H = form(A, c)
             calls.append((A, c, H))
             return H
 
-        monkeypatch.setattr(engine, "hnf", recording)
-        rng = random.Random(41)
+        monkeypatch.setattr(engine, name, recording)
+        rng = random.Random(seed)
         for _ in range(80):
             m = rng.choice([0, 0, 12, 30, 36, 64, 210, 2310])
             labels = list(range(2, 40)) if m == 0 else None
@@ -298,8 +301,32 @@ class TestHnf:
             )
             engine.integer_lattice(normalize(G)[0])
         assert {c for _, c, _ in calls} > {12, 30, 36, 64, 210, 2310}
-        for A, c, H in calls:
+        return calls
+
+    def test_matches_reference_on_dual_matrices(self, monkeypatch):
+        for A, c, H in self.engine_calls(monkeypatch, "hnf", hnf, 41):
             assert H == reference_lattice_hnf(A, c)
+
+    def test_triangular_matches_hnf_on_engine_inputs(self, monkeypatch):
+        # X = c * lower^{-1}, the lattice basis before its Hermite form
+        calls = self.engine_calls(monkeypatch, "triangular_hnf", triangular_hnf, 43)
+        for X, c, H in calls:
+            assert all(i >= j for j, col in enumerate(X.nonzeros) for i in col)
+            assert H == hnf(X, c) == reference_lattice_hnf(X, c)
+        # some calls have entries below the diagonal to reduce
+        assert any(len(col) > 1 for X, _, _ in calls for col in X.nonzeros)
+
+    @settings(max_examples=100)
+    @given(sparse_lower_triangular(max_dim=7, max_entry=40), st.integers(1, 6))
+    def test_triangular_matches_hnf(self, T, k):
+        # any lower-triangular basis spans a lattice containing c*Z^n once
+        # its determinant divides c
+        X = IntMatrix.sparse(
+            T.nrows,
+            [{i: abs(x) if i == j else x for i, x in col.items()} for j, col in enumerate(T.nonzeros)],
+        )
+        c = k * prod(col[j] for j, col in enumerate(X.nonzeros))
+        assert triangular_hnf(X, c) == hnf(X, c)
 
     def test_span_check_detects_a_sublattice(self):
         A = IntMatrix.from_columns([(1, 0), (0, 1)])
@@ -307,10 +334,11 @@ class TestHnf:
         assert not in_column_span(IntMatrix.from_columns([(1, 1), (0, 2)]), (0, 1))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            hnf(IntMatrix([]), 5)
-        with pytest.raises(ValueError):
-            hnf(IntMatrix.identity(2), 0)
+        for form in (hnf, triangular_hnf):
+            with pytest.raises(ValueError):
+                form(IntMatrix([]), 5)
+            with pytest.raises(ValueError):
+                form(IntMatrix.identity(2), 0)
 
 
 class TestSnf:

@@ -5,16 +5,17 @@ mod q = p**k, solve each reduced graph, then glue the per-component answers
 back together with the Chinese Remainder Theorem.  The gluing uses the CRT
 idempotents: for each q the unique e_q in [0, m) with e_q = 1 mod q and
 e_q = 0 mod m/q.  A vector whose reductions mod each q are g_q is then
-sum_q e_q * g_q mod m, computed a whole vector at a time.  The glued
-factors must equal what the direct lattice computation produces; both paths
-are exercised against each other in the tests and by the CLI cross-check.
+sum_q e_q * g_q mod m, summed over the nonzero entries of each g_q alone
+and reduced once.  The glued factors must equal what the direct lattice
+computation produces; both paths are exercised against each other in the
+tests and by the CLI cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from math import prod
-from operator import add
 
 from .arith import crt_combine, factorize
 from .engine import SplineModule, invariant_factors
@@ -63,13 +64,16 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
     glued generator is sum_q e_q * g_q mod m over the components' j-th
     generators g_q, where e_q is the CRT idempotent of q (1 mod q, 0 mod
     m/q).  Entry by entry this is the unique residue in [0, m) that reduces
-    to g_q mod every q.  A component with fewer generators contributes the
-    zero labeling to the missing slots, so the j-th glued generator
-    accumulates the j-th largest order from every component and the glued
-    orders form the invariant-factor chain.  The glued vectors are checked
-    as one vertex-major block, every vector against every edge condition of
-    G, in a single ``check_splines`` call; the first failing vector, largest
-    order first, is named.
+    to g_q mod every q.  Each g_q adds e_q times its nonzero entries, and
+    only those, into a running total, which is reduced mod m once; a Z/p
+    component's generators are indicators of disjoint merge classes, so its
+    n' generators hold n nonzeros in all.  A component with fewer generators
+    contributes the zero labeling to the missing slots, so the j-th glued
+    generator accumulates the j-th largest order from every component and
+    the glued orders form the invariant-factor chain.  The glued vectors are
+    checked as one vertex-major block, every vector against every edge
+    condition of G, in a single ``check_splines`` call; the first failing
+    vector, largest order first, is named.
 
     The glued module fills in only what gluing computes: its factors and
     generators.  No Smith form is taken, so its ``raw_diagonal`` is its
@@ -96,13 +100,13 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
     vectors = []
     for j in range(max(map(len, stacks))):
         order = 1
-        total = None
+        total = [0] * G.n
         for e, stack in zip(idempotents, stacks):
             if j < len(stack):
                 factor, gen = stack[j]
                 order *= factor
-                term = map(e.__mul__, gen)
-                total = term if total is None else map(add, total, term)
+                for i, x in zip(compress(count(), gen), filter(None, gen)):
+                    total[i] += e * x
         orders.append(order)
         vectors.append(tuple(map(mod_m, total)))
     check_splines(G, tuple(zip(*vectors)), "recombined vector")

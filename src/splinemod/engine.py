@@ -27,10 +27,16 @@ itself stays exact.
 
 The matrices pass from the dual system (two nonzeros per column) to the
 Smith transform as sparse columns, ``IntMatrix.nonzeros``, with no dense
-copy, identity or transpose between kernels; an edgeless graph takes the
-same path.  The printed vectors are reduced from those columns and
-written, nonzeros only, into one vertex-major block (one row per vertex),
-which is pulled back, checked and transposed once into dense tuples.
+copy, identity or transpose between kernels.  The printed vectors are
+reduced from those columns and written, nonzeros only, into one
+vertex-major block (one row per vertex), which is pulled back, checked and
+transposed once into dense tuples.
+
+A mod-m graph that normalizes to no edge skips the kernels.  Every label
+of it was a unit or zero mod m, as on each Z/p component of a CRT split,
+so its module is free: (Z/m)^{n'} on its n' merge classes, with B = I and
+Smith form m*I.  Its vectors are the n' unit vectors, written down and
+then pulled back and checked as above.
 """
 
 from __future__ import annotations
@@ -58,7 +64,10 @@ class SplineModule:
     * the lattice path (``normalized_module``) sets ``raw_diagonal`` to the
       full Smith diagonal of m*B^{-1}, trivial 1 entries included, and
       ``flow_up`` to the flow-up basis columns reduced mod m, zero
-      reductions dropped;
+      reductions dropped.  On a normalized graph with no edge it fills in
+      the same values in closed form: ``raw_diagonal`` is (m,)*n', and
+      ``mgs`` and ``flow_up`` are one shared tuple of the n' merge-class
+      indicators (empty, with ``raw_diagonal`` (1,)*n', when m = 1);
     * the CRT glue (``decompose.recombine``) takes no Smith form and glues
       no flow-up set: its ``raw_diagonal`` is its factors and its
       ``flow_up`` keeps the default, empty.
@@ -221,12 +230,28 @@ def normalized_module(
     the vertices of one merge class share one row object.  The whole
     block, generators first, is checked against every edge condition of G
     in one ``check_splines`` call, and transposed once into the vectors.
+
+    A normalized graph with no edge returns early, without the kernels:
+    B = I and m*I is its own Smith form, so d = (m,)*n' and V = I, and the
+    generators and the flow-up vectors are the same n' unit vectors.  They
+    are written as one block, pulled back, checked and transposed once,
+    and ``mgs`` and ``flow_up`` share the result.
     """
     m = G.modulus
     if m == 0:
         raise InvalidModulus(
             "invariant factors are only defined for a finite modulus"
         )
+    if not gnorm.edges:
+        # the free module (Z/m)^n'; m = 1 leaves no vector, as below
+        n = gnorm.n
+        d = (m,) * n
+        factors = d if m > 1 else ()
+        units = [{i: 1} for i in range(len(factors))]
+        rows = report.pull_back(_vertex_major(n, units))
+        check_splines(G, rows, "generated vector")
+        mgs = tuple(zip(*rows))
+        return SplineModule(m, factors, mgs, d, mgs)
     B = integer_lattice(gnorm)
     d, V = snf(_scaled_inverse(B, m), m)
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -253,6 +254,27 @@ class TestSolve:
         assert report["invariant_factors"] == crt["invariant_factors"]
         assert report["crt"]["invariant_factors"] == crt["invariant_factors"]
 
+    def test_free_components_skip_the_kernels(self, capsys, monkeypatch):
+        # m = 30030 is squarefree, so each of the six prime components
+        # normalizes to an edgeless graph and takes the closed form: only the
+        # direct path reaches the lattice kernels, and it takes one lattice
+        # (B is inverted inside integer_lattice, and again for snf)
+        calls = Counter()
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        for name in ("integer_lattice", "_scaled_inverse", "snf"):
+            monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+        path = str(GRAPHS / "n30_e80_m30030.graph")
+        run_json(capsys, ["solve", path, "--crt"])
+        assert calls == {}
+        run_json(capsys, ["solve", path])
+        assert calls == {"integer_lattice": 1, "_scaled_inverse": 2, "snf": 1}
+
     def test_large_semiprime_modulus(self, capsys, tmp_path):
         # m = (10**9 + 7) * (10**9 + 9): both primes lie past trial division
         p, q = 10**9 + 7, 10**9 + 9
@@ -352,6 +374,24 @@ class TestSolve:
         err = mismatch(capsys, ["solve", tri36, "--direct"], "generated vector")
         assert named_vector(err, "generated vector") == generators[0]
         assert not spline_check(parse_graph(TRI36_TEXT), generators[0])
+
+    def test_bad_free_vector_exit_4(self, capsys, tmp_path, monkeypatch):
+        # mod 7 the zero edge merges a and b and the unit edge is dropped, so
+        # the normalized graph has no edge and its module is written down in
+        # closed form, without snf; a unit vector moved by 1 at b after the
+        # pull-back fails the zero edge a-b, and the block check names it
+        path = tmp_path / "free7.graph"
+        path.write_text("mod 7\nvertices a b c\nedge a b 0\nedge b c 3\n")
+        original = graph.NormalizationReport.pull_back
+
+        def corrupted(self, values):
+            rows = list(original(self, values))
+            rows[1] = [rows[1][0] + 1, *rows[1][1:]]
+            return tuple(rows)
+
+        monkeypatch.setattr(graph.NormalizationReport, "pull_back", corrupted)
+        err = mismatch(capsys, ["solve", str(path), "--direct"], "generated vector")
+        assert named_vector(err, "generated vector") == (1, 2, 0)
 
     def test_bad_component_generator_exit_4(self, capsys, c21, monkeypatch):
         # the mod-3 component's generators moved by 1 at v1 glue into

@@ -108,9 +108,11 @@ class TestIntegerLattice:
 
 class TestScaledInverse:
     def test_basis_times_inverse_is_scaled_identity(self, monkeypatch):
-        # Every scaled inverse the engine takes, recorded on edgeless, sparse
-        # and complete graphs, mod m and in integer mode: the transposed dual
-        # basis inside integer_lattice, then the lattice basis B itself.
+        # Every scaled inverse the engine takes, recorded on sparse and
+        # complete graphs mod m and on edgeless, sparse and complete graphs
+        # in integer mode: the transposed dual basis inside integer_lattice,
+        # then, mod m, the lattice basis B itself.  A mod-m graph that
+        # normalizes to no edge takes the closed form and takes none.
         calls = []
 
         def recording(B, c):
@@ -210,9 +212,12 @@ class TestModuleVectors:
     zero labels."""
 
     @staticmethod
-    def random_graph(rng, m):
+    def random_graph(rng, m, free=False):
         n = rng.randrange(1, 9)
-        if m:
+        if free:  # every label a unit or zero mod m
+            units = [u for u in range(-m, 2 * m + 2) if gcd(u, m) == 1]
+            labels = [0, m, -m, *rng.sample(units, 4)]
+        elif m:
             units = [u for u in range(1, 2 * m + 2) if gcd(u, m) == 1]
             proper = rng.sample(range(1, m), min(m - 1, 6))
             labels = [0, m, -m, rng.choice(units), *proper]
@@ -225,17 +230,23 @@ class TestModuleVectors:
         )
         return EdgeLabeledGraph(m, tuple(f"v{i}" for i in range(n)), edges)
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 7, 12, 30, 36, 64, 30030])
-    def test_matches_dense_reference(self, m):
+    @pytest.mark.parametrize("m, free", [
+        *(pytest.param(m, False, id=str(m)) for m in (0, 1, 2, 7, 12, 30, 36, 64, 30030)),
+        pytest.param(30, True, id="30-free"),
+    ])
+    def test_matches_dense_reference(self, m, free):
+        # An edgeless normalized graph takes the engine's closed form, and
+        # the reference still takes the kernels: so mod a prime, and mod 30
+        # with unit and zero labels only, the two paths are compared.
         rng = random.Random(53 + m)
         merged = dropped = 0
         for _ in range(40):
-            G = self.random_graph(rng, m)
+            G = self.random_graph(rng, m, free)
             gnorm, report = normalize(G)
             merged += gnorm.n < G.n
             dropped += bool(report.dropped_unit_edges)
-            if m in (2, 7):
-                assert gnorm.edges == ()  # a prime leaves an edgeless graph
+            if m in (2, 7) or free:
+                assert gnorm.edges == ()  # units and zeros leave no edge
             reference = reference_module_vectors(G)
             if m:
                 mod = invariant_factors(G)

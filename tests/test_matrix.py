@@ -399,7 +399,8 @@ class TestSnf:
 
     @pytest.mark.parametrize("q, n", [(1, 7), (2, 60), (9, 41), (30, 60), (64, 23)])
     def test_scalar_matrix(self, q, n):
-        # m*B^{-1} for an edgeless graph mod q: q*I, diagonal and V untouched
+        # m*B^{-1} for an edgeless graph mod q: q*I, diagonal and V untouched,
+        # the Smith form the engine's free path writes down in closed form
         A = scalar_matrix(q, n)
         d, V = snf(A, q)
         assert d == (q,) * n
@@ -429,10 +430,9 @@ class TestSnf:
                 decompose(G)
             else:
                 engine.invariant_factors(G)
-        # prime components (edgeless after normalization) and prime powers
-        assert {2, 3, 5, 8, 9, 25} <= {m for _, m, _, _ in calls}
-        scalar = sum(A == scalar_matrix(m, A.nrows) for A, m, _, _ in calls)
-        assert 0 < scalar < len(calls)
+        # prime powers and composites; a prime component normalizes to an
+        # edgeless graph, whose module is taken in closed form, not here
+        assert {8, 9, 25, 12, 30} <= {m for _, m, _, _ in calls}
         for A, m, d, V in calls:
             ref_d, _, ref_V = reference_snf(A)
             assert d == ref_d

@@ -10,7 +10,7 @@ against a brute-force oracle at desk scale.
 """
 
 from .arith import Factorization, additive_order, crt_combine, factorize, is_prime, xgcd
-from .construct import ConstructionRecipe, build_rank_1, build_rank_k, sharpness_check
+from .construct import ConstructionRecipe, build_rank_1, build_rank_k
 from .cycles import (
     CycleInstance,
     GeneratingSet,
@@ -28,7 +28,6 @@ from .engine import (
     extension_analysis,
     integer_lattice,
     invariant_factors,
-    rank,
 )
 from .graph import (
     EdgeLabeledGraph,
@@ -38,16 +37,9 @@ from .graph import (
     normalize,
     parse_graph,
     parse_graph_json,
-    spline_check,
 )
 from .matrix import IntMatrix, hnf, snf
-from .oracle import (
-    ModuleFingerprint,
-    enumerate_splines,
-    fingerprint,
-    span,
-    span_equals,
-)
+from .oracle import ModuleFingerprint, enumerate_splines, fingerprint, span_equals
 
 __all__ = [
     "ConstructionRecipe",
@@ -83,15 +75,11 @@ __all__ = [
     "parse_graph",
     "parse_graph_json",
     "power_label_cycle_gens",
-    "rank",
     "recombine",
     "reduce_graph",
-    "sharpness_check",
     "single_label_mgs",
     "snf",
-    "span",
     "span_equals",
-    "spline_check",
     "two_label_cycle_gens",
     "xgcd",
 ]

@@ -12,11 +12,10 @@ coprime split of m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .arith import Factorization, factorize
-from .errors import InfeasibleParameters, InternalInconsistency, InvalidModulus
-from .graph import EdgeLabeledGraph, check_splines
+from .errors import InfeasibleParameters, InvalidModulus
+from .graph import EdgeLabeledGraph
 
 
 @dataclass(frozen=True)
@@ -141,28 +140,3 @@ def build_rank_1(n: int, m: int) -> tuple[EdgeLabeledGraph, ConstructionRecipe]:
         steps.append(BuildStep(names[i], _named(names, new), "rank-keep"))
     graph = EdgeLabeledGraph(m, tuple(names), tuple(edges))
     return graph, ConstructionRecipe((n1, n2), tuple(steps))
-
-
-def sharpness_check(G: EdgeLabeledGraph) -> tuple[int, ...]:
-    """Nontrivial single-vertex labeling witnessing rank >= 2 on a triangle.
-
-    For a 3-cycle over a modulus with exactly two distinct primes, some
-    vertex sees two incident ideals whose lcm falls short of m; that lcm,
-    placed on the vertex alone, satisfies every edge.
-    """
-    m = G.modulus
-    if len(_factor_modulus(m).pairs) != 2:
-        raise InfeasibleParameters(
-            f"sharpness witness applies to moduli with exactly two primes, not {m}"
-        )
-    if G.n != 3 or any(len(G.incident(v)) != 2 for v in range(3)):
-        raise InfeasibleParameters("sharpness witness applies to 3-cycles")
-    for v in range(3):
-        d = lcm(*(g for _, _, g in G.incident(v)))
-        if d != m:
-            witness = tuple(d if i == v else 0 for i in range(3))
-            check_splines(G, tuple(zip(witness)), "sharpness witness")
-            return witness
-    raise InternalInconsistency(
-        "no vertex admits a witness; two-prime 3-cycles always have one"
-    )

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .arith import additive_order, factorize
-from .errors import (
-    HypothesisViolated,
-    NotACycle,
-    NotConnected,
-    NotPowerFamily,
-    NotSingleLabel,
-    PreconditionViolated,
-)
+from .errors import HypothesisViolated, NotACycle, NotApplicable
 from .graph import EdgeLabeledGraph, check_splines, components
 
 Vec = tuple[int, ...]
@@ -113,17 +106,15 @@ def single_label_mgs(G: EdgeLabeledGraph) -> GeneratingSet:
     works because every edge either misses the vertex (difference 0) or sees
     a difference of exactly the label.
     """
-    if not G.edges:
-        raise NotSingleLabel("graph has no edges")
     if not is_connected(G):
-        raise NotConnected("single-label form needs a connected graph")
+        raise NotApplicable("single-label form needs a connected graph")
     m = G.modulus
     reduced = {g for _, _, g in G.conditions}
     if len(reduced) != 1:
-        raise NotSingleLabel(f"labels generate distinct ideals {sorted(reduced)}")
+        raise NotApplicable(f"needs one label ideal, got {sorted(reduced)}")
     a = reduced.pop()
     if a == 1 or a == m:
-        raise NotSingleLabel("common label must be a nonzero non-unit")
+        raise NotApplicable("common label must be a nonzero non-unit")
     n = G.n
     splines: list[Vec] = [(1,) * n]
     for k in range(1, n):
@@ -142,12 +133,12 @@ def power_label_cycle_gens(C: CycleInstance) -> GeneratingSet:
     """
     m = C.modulus
     if m < 2:
-        raise NotPowerFamily("needs a modulus >= 2")
+        raise NotApplicable("needs a modulus >= 2")
     if any(l == 0 or l == 1 for l in C.labels):
-        raise NotPowerFamily("labels must be nonzero non-units")
+        raise NotApplicable("labels must be nonzero non-units")
     chain = sorted(set(C.labels))
     if any(b % a for a, b in zip(chain, chain[1:])):
-        raise NotPowerFamily(f"labels {C.labels} do not form a divisibility chain")
+        raise NotApplicable(f"labels {C.labels} do not form a divisibility chain")
     n = C.n
     rot = next(r for r in range(n) if C.labels[(n - 1 + r) % n] == chain[0])
     order, labels = _rotated(C, rot)
@@ -172,16 +163,16 @@ def two_label_cycle_gens(C: CycleInstance) -> GeneratingSet:
     m = C.modulus
     values = sorted(set(C.labels))
     if len(values) != 2:
-        raise PreconditionViolated(f"expected exactly two label values, got {values}")
+        raise NotApplicable(f"expected exactly two label values, got {values}")
     if not m or lcm(values[0], values[1]) != m:
-        raise PreconditionViolated(f"lcm{tuple(values)} must be the modulus {m}")
+        raise NotApplicable(f"lcm{tuple(values)} must be the modulus {m}")
     n = C.n
     rot = next(
         (r for r in range(n) if C.labels[(n - 1 + r) % n] != C.labels[(n - 2 + r) % n]),
         None,
     )
     if rot is None:
-        raise PreconditionViolated("no rotation separates the two label values")
+        raise NotApplicable("no rotation separates the two label values")
     order, labels = _rotated(C, rot)
     m1 = labels[n - 1]
     splines: list[Vec] = [(1,) * n]
@@ -264,24 +255,26 @@ def closed_form(C: CycleInstance) -> GeneratingSet | None:
     """Minimum generating set from the first closed form that applies to C.
 
     Tries the single-label form, then the power family, then the two-label
-    form merged into a minimum set; None when none applies.  The set it
-    returns is checked against every edge condition of C's graph: a vector
-    that fails one raises InternalInconsistency, since that is a wrong
-    construction, not a form that does not apply.
+    form merged into a minimum set; a form that does not apply raises
+    NotApplicable, and None means none applies.  HypothesisViolated from
+    the merge is let through.  The set it returns is checked against every
+    edge condition of C's graph: a vector that fails one raises
+    InternalInconsistency, since that is a wrong construction, not a form
+    that does not apply.
     """
-    forms = (  # each form, with the error that says it does not apply
-        (lambda: single_label_mgs(C.graph), NotSingleLabel),
-        (lambda: power_label_cycle_gens(C), NotPowerFamily),
-        (lambda: mgs_merge(
+    forms = (
+        lambda: single_label_mgs(C.graph),
+        lambda: power_label_cycle_gens(C),
+        lambda: mgs_merge(
             two_label_cycle_gens(C),  # first: it raises unless there are two labels
             C.modulus,
             coprime_order_classes(C.modulus, *sorted(set(C.labels), reverse=True)),
-        ), PreconditionViolated),
+        ),
     )
-    for build, not_applicable in forms:
+    for build in forms:
         try:
             gens = build()
-        except not_applicable:
+        except NotApplicable:
             continue
         rows = tuple(zip(*gens.splines))
         check_splines(C.graph, rows, f"{gens.provenance} closed-form vector")

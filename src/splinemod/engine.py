@@ -81,6 +81,7 @@ class SplineModule:
 
     @property
     def rank(self) -> int:
+        """Size of a minimum generating set; 0 only for the zero module (m = 1)."""
         return len(self.invariant_factors)
 
     @property
@@ -280,11 +281,6 @@ def normalized_module(
     check_splines(G, rows, "generated vector")
     columns = tuple(zip(*rows))
     return SplineModule(m, tuple(factors), columns[:k], d, columns[k:])
-
-
-def rank(G: EdgeLabeledGraph) -> int:
-    """Size of a minimum generating set; 0 only for the zero module (m = 1)."""
-    return invariant_factors(G).rank
 
 
 def _skip(i: int, vi: int) -> int:

@@ -49,28 +49,17 @@ class NotAnExtension(SplineError):
     pass
 
 
-class NotSingleLabel(SplineError):
-    pass
-
-
-class NotConnected(SplineError):
-    pass
-
-
-class NotPowerFamily(SplineError):
-    pass
+class NotApplicable(SplineError):
+    """A closed form's hypotheses fail; another form or the lattice answers."""
 
 
 class NotACycle(SplineError):
     pass
 
 
-class PreconditionViolated(SplineError):
-    pass
-
-
 class HypothesisViolated(SplineError):
-    pass
+    """The arguments break the contract of ``mgs_merge`` or
+    ``coprime_order_classes``; unlike NotApplicable, no other form is tried."""
 
 
 class InfeasibleParameters(SplineError):

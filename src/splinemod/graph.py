@@ -309,15 +309,6 @@ def check_splines(G: EdgeLabeledGraph, rows, what: str) -> None:
         raise InternalInconsistency(f"{what} {vector} fails an edge condition")
 
 
-def spline_check(G: EdgeLabeledGraph, values) -> bool:
-    """True iff the vertex labeling satisfies every edge condition.
-
-    The one-column case of ``first_failing``: ``values[i]`` is the value at
-    vertex i.
-    """
-    return first_failing(G, tuple(zip(values))) is None
-
-
 def components(n: int, pairs) -> list[int]:
     """Entry v is the least vertex in v's component of the graph on 0..n-1
     with edges ``pairs``; a pair may repeat or join a vertex to itself.

@@ -20,10 +20,11 @@ An ``IntMatrix`` holds its shape and, for each column, a dict of its
 nonzero entries, so an n x 0 matrix keeps its n rows.  Both normal forms
 read and write only nonzero entries: the matrices the engine builds (the
 dual system, its Hermite forms, the scaled inverses and the Smith
-transform) are mostly zero.  ``entries`` (the rows) and ``columns()`` are
-dense views, built on each call, read only by the tests and by the
-benchmark's trace, which sizes each kernel's arguments by their entries;
-the engine reads ``nonzeros`` alone.
+transform) are mostly zero, and the engine reads ``nonzeros`` alone.
+Three dense forms remain: the constructor takes rows, and ``entries``
+(the rows) and ``columns()`` are views built on each call.  They stay
+because the benchmark's trace sizes each kernel's arguments by their
+``entries``, and the tests write and compare matrices densely.
 
 Matrices are immutable.
 """
@@ -70,14 +71,6 @@ class IntMatrix:
         A = cls.__new__(cls)
         A._fill(nrows, nonzeros)
         return A
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.sparse(n, [{j: 1} for j in range(n)])
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(zip(*cols))
 
     def columns(self) -> list[tuple[int, ...]]:
         rows = range(self.nrows)

@@ -91,14 +91,17 @@ def enumerate_splines(
         checks.sort(key=lambda c: -c[1])
         first.append(checks.pop(0) if checks else (0, 1))
 
+    # A loop, not a recursion, so the depth of the search is not bounded by
+    # Python's stack: m = 1 passes any budget on any number of vertices.
+    # candidates[k] is vertex k's range, resumed when the search backs up.
     out: list[tuple[int, ...]] = []
     values = [0] * n
     last = n - 1
-
-    def extend(k: int):
-        prev, step = first[k]
+    candidates = [iter(range(m))] + [None] * last
+    k = 0
+    while k >= 0:
         checks = constraints[k]
-        for x in range(values[prev] % step, m, step):
+        for x in candidates[k]:
             for other, g in checks:
                 if (values[other] - x) % g:
                     break
@@ -106,14 +109,13 @@ def enumerate_splines(
                 values[k] = x
                 if k == last:
                     out.append(tuple(values))
-                else:
-                    extend(k + 1)
-
-    extend(0)
-    # extend reaches itself through its closure, a reference cycle that
-    # holds ``out``; breaking it frees the splines when the caller drops
-    # them instead of at the next full garbage collection.
-    del extend
+                    continue
+                k += 1
+                prev, step = first[k]
+                candidates[k] = iter(range(values[prev] % step, m, step))
+                break
+        else:
+            k -= 1
     return out
 
 
@@ -223,6 +225,21 @@ def _cosets(
 
     ``built(x)`` says whether x is in the closure so far: zero and every
     coset yielded before.  The caller records each coset it is given.
+
+    The closure under addition mod m is grown one generator g at a time.
+    If S is the closure so far and k the least k > 0 with k*g in S, the
+    closure of S and g is the disjoint union of the cosets S, S + g, ...,
+    S + (k-1)*g; each coset is the previous one shifted by g.  So every
+    element is built exactly once, by one vector addition, where a
+    breadth-first search builds it once per generator.  It stays brute
+    force: it uses only addition and membership.  BudgetExceeded is raised
+    exactly when the closure would pass ``cap`` elements, before the coset
+    that passes it is built.
+
+    A coset is held as n columns.  Column i is shifted through a table
+    a -> (a + g_i) mod m, one per generator and column, filled as residues
+    are met, so it never outgrows its column however large m is; a column
+    with g_i = 0 is kept as it is.  The rows of the columns are the elements.
     """
     parts = [[[0]] * n]  # the closure so far, as the columns of its cosets
     size = 1
@@ -247,36 +264,6 @@ def _cosets(
             multiple = tuple((a + x) % m for a, x in zip(multiple, g))
 
 
-def span(
-    generators: Sequence[tuple[int, ...]],
-    m: int,
-    n: int,
-    budget: int | None = None,
-) -> set[tuple[int, ...]]:
-    """Closure of the generators under addition mod m (includes zero).
-
-    Grown one generator g at a time.  If S is the closure so far and k the
-    least k > 0 with k*g in S, the closure of S and g is the disjoint union
-    of the cosets S, S + g, ..., S + (k-1)*g; each coset is the previous one
-    shifted by g.  So every element is built exactly once, by one vector
-    addition, where a breadth-first search builds it once per generator.
-    It stays brute force: it uses only addition and membership, and builds
-    and stores every element.  For a budget of at least 1, BudgetExceeded
-    is raised exactly when the closure has more than ``budget`` elements,
-    before the coset that passes it is built.
-
-    A coset is held as n columns.  Column i is shifted through a table
-    a -> (a + g_i) mod m, one per generator and column, filled as residues
-    are met, so it never outgrows its column however large m is; a column
-    with g_i = 0 is kept as it is.  The rows of the columns are the elements.
-    """
-    cap = resolve_budget(budget)
-    closure = {(0,) * n}
-    for coset in _cosets(generators, m, n, cap, closure.__contains__):
-        closure.update(zip(*coset))
-    return closure
-
-
 def span_equals(
     generators: Sequence[tuple[int, ...]],
     splines: Collection[tuple[int, ...]],
@@ -286,12 +273,14 @@ def span_equals(
     """True iff the Z-span mod m of the generators is exactly the given set.
 
     ``splines`` may be a list or a set; a set is used as it stands and left
-    unchanged.  No closure is kept: a copy of the set loses each coset of
-    `span`'s closure as it is built.  The cosets are disjoint, so one that
-    removes fewer elements than it has holds an element outside the set,
-    and the answer is False there, before the rest of the span is built.
-    BudgetExceeded is raised as in `span` if the span passes the budget
-    first.
+    unchanged.  The span is built by `_cosets`, as the disjoint cosets of
+    its closure under addition, but not kept: a copy of the set loses each
+    coset as it is built.  One that removes fewer elements than it has
+    holds an element outside the set, and the answer is False there,
+    before the rest of the span is built.  BudgetExceeded is raised if the
+    span passes the budget before the answer is settled: given the whole
+    span as the set and a budget of at least 1, exactly when the span has
+    more than ``budget`` elements.
     """
     cap = resolve_budget(budget)
     members = splines if isinstance(splines, AbstractSet) else set(splines)

@@ -155,8 +155,8 @@ def reference_snf(A: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
     (row, col) order."""
     rows, cols = A.nrows, A.ncols
     S = [list(r) for r in A.entries]
-    U = [list(r) for r in IntMatrix.identity(rows).entries]
-    V = [list(r) for r in IntMatrix.identity(cols).entries]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i1, i2):
         S[i1], S[i2] = S[i2], S[i1]
@@ -229,8 +229,25 @@ def column_lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
     return nza == nzb
 
 
+def naive_span(generators, m, n):
+    """The closure of the generators under addition mod m, breadth first."""
+    zero = (0,) * n
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = tuple((a + b) % m for a, b in zip(x, g))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 # Reference gluing and edge check: the entry-by-entry forms that
-# ``decompose.recombine`` and ``graph.spline_check`` replaced.
+# ``decompose.recombine`` and ``graph.first_failing`` replaced.
 
 
 def reference_glued_vectors(components, G: EdgeLabeledGraph) -> list[tuple[int, ...]]:

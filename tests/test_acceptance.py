@@ -13,15 +13,14 @@ from splinemod.construct import build_rank_1, build_rank_k
 from splinemod.cycles import cycle_instance, power_label_cycle_gens, single_label_mgs
 from splinemod.decompose import decompose
 from splinemod.engine import extension_analysis, invariant_factors
-from splinemod.graph import EdgeLabeledGraph, spline_check
+from splinemod.graph import EdgeLabeledGraph
 from splinemod.arith import additive_order, crt_combine
 from splinemod.oracle import (
     enumerate_splines,
     fingerprint,
-    span,
     span_equals,
 )
-from support import random_connected_graph, random_cycle
+from support import random_connected_graph, random_cycle, reference_spline_check
 
 # Instances touched by criteria 1-9, audited again by criterion 10.
 _SEEN: list[tuple[EdgeLabeledGraph, tuple[int, ...]]] = []
@@ -69,18 +68,21 @@ def test_criterion_1_six_cycle_mod21():
             tuple(reversed((7, 10, 3, 3, 0, 0))),
         ]
         for vec in known:
-            assert spline_check(C21, vec)
-        # 21**6 exceeds the default enumeration budget, so the span check runs
-        # as: closure has exactly 21**3 members, every member is a spline, and
-        # 10**4 random vectors are splines iff they lie in the closure.
-        closure = span(known, 21, 6)
-        assert len(closure) == 21**3 == 9261
-        for vec in closure:
-            assert spline_check(C21, vec)
+            assert reference_spline_check(C21, vec)
+        # 21**6 exceeds the default enumeration budget, but the search visits
+        # far fewer labelings: given that budget it lists the 21**3 splines,
+        # and the known set spans exactly them.  10**4 random vectors are
+        # splines iff they are listed.
+        splines = enumerate_splines(C21, 21**6)
+        assert len(splines) == 21**3 == 9261
+        assert span_equals(known, splines, 21)
+        for vec in splines:
+            assert reference_spline_check(C21, vec)
+        members = set(splines)
         rng = random.Random(2101)
         for _ in range(10**4):
             vec = tuple(rng.randrange(21) for _ in range(6))
-            assert spline_check(C21, vec) == (vec in closure)
+            assert reference_spline_check(C21, vec) == (vec in members)
         _record(C21, mod.invariant_factors)
 
 
@@ -89,7 +91,7 @@ def test_criterion_2_mod36_triangle():
         mod = invariant_factors(TRI36)
         assert mod.invariant_factors == (6, 36)
         assert additive_order((18, 12, 0), 36) == 6
-        assert spline_check(TRI36, (18, 12, 0))
+        assert reference_spline_check(TRI36, (18, 12, 0))
 
         dec = decompose(TRI36)
         by_q = {c.prime_power: c for c in dec.components}

@@ -16,8 +16,9 @@ from hypothesis import example, given, strategies as st
 from splinemod import cli, cycles, engine, graph
 from splinemod import construct as construct_mod
 from splinemod.arith import Factorization
-from splinemod.graph import parse_graph, spline_check
+from splinemod.graph import parse_graph
 from splinemod.matrix import IntMatrix
+from support import reference_spline_check
 
 C21_TEXT = """\
 mod 21
@@ -373,7 +374,7 @@ class TestSolve:
         monkeypatch.setattr(engine, "snf", corrupted)
         err = mismatch(capsys, ["solve", tri36, "--direct"], "generated vector")
         assert named_vector(err, "generated vector") == generators[0]
-        assert not spline_check(parse_graph(TRI36_TEXT), generators[0])
+        assert not reference_spline_check(parse_graph(TRI36_TEXT), generators[0])
 
     def test_bad_free_vector_exit_4(self, capsys, tmp_path, monkeypatch):
         # mod 7 the zero edge merges a and b and the unit edge is dropped, so
@@ -408,7 +409,8 @@ class TestSolve:
 
         monkeypatch.setattr(decompose_mod, "invariant_factors", corrupted)
         err = mismatch(capsys, ["solve", c21, "--crt"], "recombined vector")
-        assert not spline_check(parse_graph(C21_TEXT), named_vector(err, "recombined vector"))
+        named = named_vector(err, "recombined vector")
+        assert not reference_spline_check(parse_graph(C21_TEXT), named)
 
     def test_bad_integer_lattice_column_exit_4(self, capsys, tmp_path, monkeypatch):
         # column (0, 2) moved to (0, 3) fails the label-2 edge
@@ -418,7 +420,7 @@ class TestSolve:
         corrupt_lattice(monkeypatch)
         err = mismatch(capsys, ["solve", str(path)], "lattice basis column")
         assert named_vector(err, "lattice basis column") == (0, 3)
-        assert not spline_check(parse_graph(text), (0, 3))
+        assert not reference_spline_check(parse_graph(text), (0, 3))
 
     def test_oracle_factors_disagree_exit_4(self, capsys, tri36, monkeypatch):
         original = cli.fingerprint
@@ -572,7 +574,7 @@ class TestCycle:
         err = mismatch(capsys, ["cycle", str(path)], what)
         named = named_vector(err, what)
         assert named[:2] == (1, 2)
-        assert not spline_check(parse_graph(text), named)
+        assert not reference_spline_check(parse_graph(text), named)
 
     @pytest.mark.parametrize(
         "change",
@@ -609,11 +611,10 @@ class TestConstruct:
     def test_rank_1_k4(self, capsys):
         report = run_json(capsys, ["construct", "4", "6", "1"])
         assert report["verified_rank"] == 1
-        from splinemod.graph import parse_graph
-        from splinemod.engine import rank
+        from splinemod.engine import invariant_factors
 
         G = parse_graph(report["graph_file"])
-        assert rank(G) == 1
+        assert invariant_factors(G).rank == 1
 
     def test_rank_5(self, capsys):
         report = run_json(capsys, ["construct", "5", "6", "5"])
@@ -1033,6 +1034,31 @@ class TestLongAnswers:
             "configured budget is 10000000\n"
         )
         assert captured.out == ""
+
+
+class TestDeepInputs:
+    """m = 1 passes any enumeration budget (1**n = 1), so --verify searches
+    one level per vertex, past Python's recursion limit."""
+
+    @staticmethod
+    def graph(tmp_path, n, closed):
+        names = [f"v{i}" for i in range(n)]
+        edges = [f"edge {a} {b} 1" for a, b in zip(names, names[1:] + names[:closed])]
+        path = tmp_path / "deep.graph"
+        path.write_text("\n".join(["mod 1", "vertices " + " ".join(names), *edges, ""]))
+        return str(path)
+
+    def test_solve_verify_on_a_3000_vertex_path(self, capsys, tmp_path):
+        report = run_json(capsys, ["solve", "--verify", self.graph(tmp_path, 3000, 0)])
+        oracle = report["oracle"]
+        assert oracle["spline_count"] == report["order"] == 1
+        assert oracle["factors_match"] and oracle["mgs_spans"]
+
+    def test_cycle_verify_on_a_1200_vertex_cycle(self, capsys, tmp_path):
+        report = run_json(capsys, ["cycle", "--verify", self.graph(tmp_path, 1200, 1)])
+        oracle = report["oracle"]
+        assert oracle["spline_count"] == report["order"] == 1
+        assert oracle["set_spans"]
 
 
 class TestConsoleScript:

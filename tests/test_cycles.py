@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from splinemod import cycles
 from splinemod.arith import additive_order
 from splinemod.cycles import (
     closed_form,
@@ -12,18 +13,11 @@ from splinemod.cycles import (
     single_label_mgs,
     two_label_cycle_gens,
 )
-from splinemod.engine import invariant_factors, rank
-from splinemod.errors import (
-    HypothesisViolated,
-    NotACycle,
-    NotConnected,
-    NotPowerFamily,
-    NotSingleLabel,
-    PreconditionViolated,
-)
-from splinemod.graph import EdgeLabeledGraph, spline_check
+from splinemod.engine import invariant_factors
+from splinemod.errors import HypothesisViolated, NotACycle, NotApplicable
+from splinemod.graph import EdgeLabeledGraph
 from splinemod.oracle import enumerate_splines, span_equals
-from support import random_cycle
+from support import random_cycle, reference_spline_check
 
 C21 = EdgeLabeledGraph(
     21,
@@ -107,7 +101,7 @@ class TestSingleLabel:
         for m, a, n in ((9, 3, 5), (8, 2, 4), (25, 5, 3)):
             G = cycle(m, (a,) * n)
             gs = single_label_mgs(G)
-            assert len(gs.splines) == n == rank(G)
+            assert len(gs.splines) == n == invariant_factors(G).rank
 
     def test_dense_graph(self):
         # complete graph, single label: still n generators
@@ -120,17 +114,22 @@ class TestSingleLabel:
         assert span_equals(list(gs.splines), enumerate_splines(G), 9)
 
     def test_mixed_labels_rejected(self):
-        with pytest.raises(NotSingleLabel):
+        with pytest.raises(NotApplicable):
             single_label_mgs(cycle(21, (3, 3, 7)))
 
     def test_unit_label_rejected(self):
-        with pytest.raises(NotSingleLabel):
+        with pytest.raises(NotApplicable):
             single_label_mgs(cycle(7, (3, 3, 3)))  # 3 is a unit mod 7
 
     def test_disconnected_rejected(self):
         G = EdgeLabeledGraph(9, ("a", "b", "c", "d"), ((0, 1, 3), (2, 3, 3)))
-        with pytest.raises(NotConnected):
+        with pytest.raises(NotApplicable):
             single_label_mgs(G)
+
+    def test_edgeless_rejected(self):
+        for names in (("a",), ("a", "b")):  # no label ideal; disconnected
+            with pytest.raises(NotApplicable):
+                single_label_mgs(EdgeLabeledGraph(9, names, ()))
 
 
 class TestPowerFamily:
@@ -147,7 +146,7 @@ class TestPowerFamily:
         assert gs.rotation != 0
         assert span_equals(list(gs.splines), enumerate_splines(G), 8)
         for vec in gs.splines:
-            assert spline_check(G, vec)
+            assert reference_spline_check(G, vec)
 
     def test_all_equal_reduces_to_constant_pattern(self):
         G = cycle(9, (3, 3, 3, 3))
@@ -168,14 +167,14 @@ class TestPowerFamily:
             for n in (3, 4, 5):
                 G = random_cycle(rng, n, m, pool)
                 gs = power_label_cycle_gens(cycle_instance(G))
-                assert len(gs.splines) == rank(G)
+                assert len(gs.splines) == invariant_factors(G).rank
                 budget = m**n  # the solution set itself stays small
                 assert span_equals(
                     list(gs.splines), enumerate_splines(G, budget), m, budget
                 )
 
     def test_non_power_family_rejected(self):
-        with pytest.raises(NotPowerFamily):
+        with pytest.raises(NotApplicable):
             power_label_cycle_gens(cycle_instance(cycle(21, (3, 3, 7))))
 
     def test_base_need_not_be_a_label(self):
@@ -211,11 +210,11 @@ class TestTwoLabel:
                 assert top == 7
 
     def test_spans_after_merge_only(self):
-        splines_closure_size = 21**3
+        # 21**6 passes the default budget, but the search visits far fewer
+        splines = enumerate_splines(C21, 21**6)
+        assert len(splines) == 21**3
         gs = two_label_cycle_gens(cycle_instance(C21))
-        from splinemod.oracle import span
-
-        assert len(span(list(gs.splines), 21, 6)) == splines_closure_size
+        assert span_equals(list(gs.splines), splines, 21)
 
     def test_rotation_when_needed(self):
         # closing edge pair carries equal labels until rotated
@@ -223,14 +222,14 @@ class TestTwoLabel:
         gs = two_label_cycle_gens(cycle_instance(G))
         assert gs.rotation != 0
         for vec in gs.splines:
-            assert spline_check(G, vec)
+            assert reference_spline_check(G, vec)
 
     def test_lcm_precondition(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(NotApplicable):
             two_label_cycle_gens(cycle_instance(cycle(12, (2, 3, 2, 3))))
 
     def test_needs_exactly_two_values(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(NotApplicable):
             two_label_cycle_gens(cycle_instance(cycle(9, (3, 3, 3))))
 
 
@@ -268,15 +267,14 @@ class TestMgsMerge:
     def test_merged_size_is_rank(self):
         gs = two_label_cycle_gens(cycle_instance(C21))
         merged = mgs_merge(gs, 21, coprime_order_classes(21, 7, 3))
-        assert len(merged.splines) == rank(C21) == 3
+        assert len(merged.splines) == invariant_factors(C21).rank == 3
 
     def test_merged_set_spans(self):
         gs = two_label_cycle_gens(cycle_instance(C21))
         merged = mgs_merge(gs, 21, (7, 3))
-        closure_sized = 21**3
-        from splinemod.oracle import span
-
-        assert len(span(list(merged.splines), 21, 6)) == closure_sized
+        splines = enumerate_splines(C21, 21**6)
+        assert len(splines) == 21**3
+        assert span_equals(list(merged.splines), splines, 21)
 
     def test_same_order_passthrough(self):
         # one order class: nothing is summed, the set passes through
@@ -323,6 +321,16 @@ class TestClosedForm:
     )
     def test_free_cycle_has_none(self, G):
         assert closed_form(cycle_instance(G)) is None
+
+    def test_broken_merge_contract_is_not_a_fallback(self, monkeypatch):
+        # HypothesisViolated is a broken contract, not a form that does not
+        # apply: closed_form lets it through instead of answering None
+        def broken(B, m, factors):
+            raise HypothesisViolated("factors are not pairwise coprime")
+
+        monkeypatch.setattr(cycles, "mgs_merge", broken)
+        with pytest.raises(HypothesisViolated):
+            closed_form(cycle_instance(C21))
 
 
 class TestRotationInvariance:

@@ -24,7 +24,6 @@ from splinemod.graph import (
     normalize,
     parse_graph,
     parse_graph_json,
-    spline_check,
 )
 from splinemod.oracle import enumerate_splines
 from support import random_connected_graph, reference_spline_check
@@ -170,50 +169,53 @@ class TestVertexOrder:
 
 
 class TestSplineCheck:
+    """One vector as a one-column block: ``first_failing`` answers None
+    exactly when it is a spline."""
+
     def test_trivial_always_passes(self):
         G = parse_graph(SIX_CYCLE)
-        assert spline_check(G, (1,) * 6)
-        assert spline_check(G, (5,) * 6)
+        assert first_failing(G, tuple(zip((1,) * 6))) is None
+        assert first_failing(G, tuple(zip((5,) * 6))) is None
 
     def test_known_spline(self):
         G = parse_graph(SIX_CYCLE)
-        assert spline_check(G, (7, 10, 10, 3, 3, 0))
+        assert first_failing(G, tuple(zip((7, 10, 10, 3, 3, 0)))) is None
 
     def test_rejects_unit_step(self):
         G = EdgeLabeledGraph(4, ("a", "b"), ((0, 1, 2),))
-        assert not spline_check(G, (0, 1))
+        assert first_failing(G, tuple(zip((0, 1)))) == 0
 
     def test_zero_label_means_equality(self):
         G = EdgeLabeledGraph(6, ("a", "b"), ((0, 1, 0),))
-        assert spline_check(G, (4, 4))
-        assert not spline_check(G, (4, 1))
+        assert first_failing(G, tuple(zip((4, 4)))) is None
+        assert first_failing(G, tuple(zip((4, 1)))) == 0
 
     def test_length_mismatch(self):
         G = parse_graph(SIX_CYCLE)
         for values in ((1, 2, 3), (0,) * 7):
             with pytest.raises(LengthMismatch):
-                spline_check(G, values)
+                first_failing(G, tuple(zip(values)))
 
     def test_integer_mode_zero_label_is_exact_equality(self):
         G = EdgeLabeledGraph(0, ("a", "b", "c"), ((0, 1, 0), (1, 2, 3)))
-        assert spline_check(G, (5, 5, 2))
-        assert spline_check(G, (-7, -7, -1))
-        assert not spline_check(G, (5, -5, 2))
-        assert not spline_check(G, (5, 6, 3))
-        assert not spline_check(G, (5, 5, 3))
+        assert first_failing(G, tuple(zip((5, 5, 2)))) is None
+        assert first_failing(G, tuple(zip((-7, -7, -1)))) is None
+        assert first_failing(G, tuple(zip((5, -5, 2)))) == 0
+        assert first_failing(G, tuple(zip((5, 6, 3)))) == 0
+        assert first_failing(G, tuple(zip((5, 5, 3)))) == 0
 
     def test_modulus_one_accepts_everything(self):
         G = EdgeLabeledGraph(1, ("a", "b"), ((0, 1, 0), (0, 1, 5)))
-        assert spline_check(G, (0, 0))
-        assert spline_check(G, (-3, 10**30))
+        assert first_failing(G, tuple(zip((0, 0)))) is None
+        assert first_failing(G, tuple(zip((-3, 10**30)))) is None
 
     def test_negative_and_out_of_range_values(self):
         G = EdgeLabeledGraph(12, ("a", "b", "c"), ((0, 1, 4), (1, 2, 0)))
-        assert spline_check(G, (-4, 0, 12))  # 0 = 12 mod 12
-        assert spline_check(G, (13, 1, -11))  # 13 - 1 = 12, 1 = -11 mod 12
-        assert spline_check(G, (-1, 11, -1))
-        assert not spline_check(G, (13, 2, 2))
-        assert not spline_check(G, (0, 0, 6))
+        assert first_failing(G, tuple(zip((-4, 0, 12)))) is None  # 0 = 12 mod 12
+        assert first_failing(G, tuple(zip((13, 1, -11)))) is None  # 13 - 1 = 12, 1 = -11 mod 12
+        assert first_failing(G, tuple(zip((-1, 11, -1)))) is None
+        assert first_failing(G, tuple(zip((13, 2, 2)))) == 0
+        assert first_failing(G, tuple(zip((0, 0, 6)))) == 0
 
     def test_matches_reference_on_unreduced_values(self):
         rng = random.Random(19)
@@ -228,7 +230,8 @@ class TestSplineCheck:
                         base + rng.choice((0, m, -m, rng.randrange(-3 * m - 5, 3 * m + 6)))
                         for _ in range(G.n)
                     ]
-                    assert spline_check(G, values) == reference_spline_check(G, values)
+                    passes = first_failing(G, tuple(zip(values))) is None
+                    assert passes == reference_spline_check(G, values)
 
     def test_matches_brute_force(self):
         rng = random.Random(7)
@@ -239,7 +242,7 @@ class TestSplineCheck:
             rejected = [
                 v
                 for v in product(range(12), repeat=3)
-                if not spline_check(G, v)
+                if first_failing(G, tuple(zip(v))) is not None
             ]
             assert not set(accepted) & set(rejected)
             assert len(accepted) + len(rejected) == 12**3

@@ -125,12 +125,12 @@ def wide_two_per_column(rng: random.Random, n: int, e: int, big: bool = False) -
         for i in rng.sample(range(n), 2):
             col[i] = rng.choice([-1, 1]) * rng.randint(1, bound)
         cols.append(col)
-    return IntMatrix.from_columns(cols)
+    return IntMatrix(zip(*cols))
 
 
 # Structured sparse inputs: (name, A, c), with c the modulus for hnf and snf.
 STRUCTURED = [
-    ("identity", IntMatrix.identity(6), 12),
+    ("identity", scalar_matrix(1, 6), 12),
     ("scalar", scalar_matrix(9, 5), 9),
     ("distinct diagonal", diagonal(4, 9, 25, 7), 60),
     ("diagonal of divisors", diagonal(6, 1, 4, 3, 12, 2), 12),
@@ -188,15 +188,15 @@ class TestIntMatrix:
         A = IntMatrix(rows)
         assert A.entries == rows
         cols = [(1, 0, 2**70), (0, 0, 5), (-2, 0, 0)]
-        assert IntMatrix.from_columns(cols).columns() == cols
+        assert IntMatrix(zip(*cols)).columns() == cols
         assert A.columns() == cols
         assert A.nonzeros == ({0: 1, 2: 2**70}, {2: 5}, {0: -2})
 
     def test_equal_however_built(self):
         dense = IntMatrix([[1, 0], [0, 1]])
         built = (
-            IntMatrix.identity(2),
-            IntMatrix.from_columns([(1, 0), (0, 1)]),
+            hnf(IntMatrix.sparse(2, []), 1),  # c*I for c = 1, built by the kernel
+            IntMatrix(zip(*[(1, 0), (0, 1)])),  # from columns
             IntMatrix.sparse(2, [{0: 1}, {1: 1}]),
         )
         for other in built:
@@ -219,11 +219,11 @@ class TestIntMatrix:
 
     def test_matmul_identity(self):
         A = IntMatrix([[1, 2], [3, 4]])
-        assert matmul(A, IntMatrix.identity(2)) == A
+        assert matmul(A, scalar_matrix(1, 2)) == A
 
     def test_from_columns_roundtrip(self):
         A = IntMatrix([[1, 2], [3, 4], [5, 6]])
-        assert IntMatrix.from_columns(A.columns()) == A
+        assert IntMatrix(zip(*A.columns())) == A
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
@@ -232,12 +232,12 @@ class TestIntMatrix:
 
 class TestHnf:
     def test_identity(self):
-        assert hnf(IntMatrix.identity(2), 5) == IntMatrix.identity(2)
+        assert hnf(scalar_matrix(1, 2), 5) == scalar_matrix(1, 2)
 
     def test_2x2_determinant_preserved(self):
         # columns (2,4) and (3,5): |det| = 2, so the lattice contains 2*Z^2
         # and |det| survives into the triangular form
-        A = IntMatrix.from_columns([(2, 4), (3, 5)])
+        A = IntMatrix(zip(*[(2, 4), (3, 5)]))
         H = hnf(A, 2)
         assert abs(det(H)) == abs(det(A)) == 2
         assert is_lower_echelon(H)
@@ -245,7 +245,7 @@ class TestHnf:
 
     def test_two_vertex_lattice(self):
         # generators (1,1) and (2,0) of {f : 2 | f1 - f2}
-        A = IntMatrix.from_columns([(1, 1), (2, 0)])
+        A = IntMatrix(zip(*[(1, 1), (2, 0)]))
         assert hnf(A, 2).columns() == [(1, 1), (0, 2)]
 
     def test_pivot_reduction(self):
@@ -329,16 +329,16 @@ class TestHnf:
         assert triangular_hnf(X, c) == hnf(X, c)
 
     def test_span_check_detects_a_sublattice(self):
-        A = IntMatrix.from_columns([(1, 0), (0, 1)])
-        assert not spans_same_lattice(A, IntMatrix.from_columns([(2, 0), (0, 1)]))
-        assert not in_column_span(IntMatrix.from_columns([(1, 1), (0, 2)]), (0, 1))
+        A = IntMatrix(zip(*[(1, 0), (0, 1)]))
+        assert not spans_same_lattice(A, IntMatrix(zip(*[(2, 0), (0, 1)])))
+        assert not in_column_span(IntMatrix(zip(*[(1, 1), (0, 2)])), (0, 1))
 
     def test_rejects_empty(self):
         for form in (hnf, triangular_hnf):
             with pytest.raises(ValueError):
                 form(IntMatrix([]), 5)
             with pytest.raises(ValueError):
-                form(IntMatrix.identity(2), 0)
+                form(scalar_matrix(1, 2), 0)
 
 
 class TestSnf:
@@ -350,7 +350,7 @@ class TestSnf:
     def test_zero_matrix(self):
         d, V = snf(IntMatrix([[0, 0], [0, 0]]), 5)
         assert d == (0, 0)
-        assert V == IntMatrix.identity(2)
+        assert V == scalar_matrix(1, 2)
 
     def test_already_smith(self):
         d, _ = snf(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 36]]), 36)
@@ -404,7 +404,7 @@ class TestSnf:
         A = scalar_matrix(q, n)
         d, V = snf(A, q)
         assert d == (q,) * n
-        assert V == reduced(IntMatrix.identity(n), q)
+        assert V == reduced(scalar_matrix(1, n), q)
         ref_d, _, ref_V = reference_snf(A)
         assert d == ref_d and V == reduced(ref_V, q)
 
@@ -447,13 +447,13 @@ class TestSnf:
         with pytest.raises(ValueError):
             snf(IntMatrix([]), 5)
         with pytest.raises(ValueError):
-            snf(IntMatrix.identity(2), 0)
+            snf(scalar_matrix(1, 2), 0)
 
 
 class TestDet:
     def test_golden(self):
         assert det(IntMatrix([[2, 3], [4, 5]])) == -2
-        assert det(IntMatrix.identity(3)) == 1
+        assert det(scalar_matrix(1, 3)) == 1
         assert det(IntMatrix([[2, 0], [0, 0]])) == 0
 
     @settings(max_examples=100)
@@ -461,5 +461,5 @@ class TestDet:
     def test_multiplicative(self, A):
         if A.nrows != A.ncols:
             return
-        B = IntMatrix.identity(A.nrows)
+        B = scalar_matrix(1, A.nrows)
         assert det(matmul(A, B)) == det(A)

@@ -8,13 +8,9 @@ import pytest
 
 from splinemod.arith import additive_order
 from splinemod.errors import BudgetExceeded, NotAGroup
-from splinemod.graph import EdgeLabeledGraph, spline_check
-from splinemod.oracle import (
-    enumerate_splines,
-    fingerprint,
-    span,
-    span_equals,
-)
+from splinemod.graph import EdgeLabeledGraph
+from splinemod.oracle import enumerate_splines, fingerprint, span_equals
+from support import naive_span, reference_spline_check
 
 Z6_PATH = EdgeLabeledGraph(6, ("v1", "v2", "v3"), ((0, 1, 2), (0, 2, 3)))
 C3_MOD30 = EdgeLabeledGraph(30, ("v1", "v2", "v3"), ((0, 1, 6), (1, 2, 15), (2, 0, 10)))
@@ -41,7 +37,7 @@ class TestEnumerate:
     def test_lexicographic_and_matches_check(self):
         G = EdgeLabeledGraph(4, ("a", "b"), ((0, 1, 2),))
         got = enumerate_splines(G)
-        expected = [v for v in product(range(4), repeat=2) if spline_check(G, v)]
+        expected = [v for v in product(range(4), repeat=2) if reference_spline_check(G, v)]
         assert got == expected  # same membership AND same (lex) order
 
     def test_budget_exceeded_reports_requirement(self):
@@ -63,6 +59,15 @@ class TestEnumerate:
         assert enumerate_splines(G) == [(0, 0)]
         with pytest.raises(BudgetExceeded):  # the budget is checked first
             enumerate_splines(G, 0)
+
+    def test_depth_is_not_bounded_by_the_stack(self):
+        # 1**n passes any budget, so the search runs one level per vertex,
+        # past Python's recursion limit
+        n = sys.getrecursionlimit() + 100
+        G = EdgeLabeledGraph(
+            1, tuple(f"v{i}" for i in range(n)), tuple((i, i + 1, 1) for i in range(n - 1))
+        )
+        assert enumerate_splines(G) == [(0,) * n]
 
     def test_rejects_integer_mode(self):
         G = EdgeLabeledGraph(0, ("a", "b"), ((0, 1, 2),))
@@ -100,8 +105,9 @@ class TestFingerprint:
             tuple(f"v{i}" for i in range(1, 7)),
             ((0, 1, 3), (1, 2, 3), (2, 3, 7), (3, 4, 7), (4, 5, 3), (5, 0, 7)),
         )
-        closure = span([(1,) * 6, (0, 3, 3, 10, 10, 7), (0, 0, 3, 3, 10, 7)], 21, 6)
-        fp = fingerprint(sorted(closure), 21)
+        splines = enumerate_splines(G, 21**6)
+        assert span_equals([(1,) * 6, (0, 3, 3, 10, 10, 7), (0, 0, 3, 3, 10, 7)], splines, 21)
+        fp = fingerprint(splines, 21)
         assert fp.invariant_factors == (21, 21, 21)
         assert fp.total_order == 21**3
 
@@ -144,7 +150,7 @@ class TestSpan:
     def test_budget(self):
         gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         with pytest.raises(BudgetExceeded):
-            span(gens, 30, 3, budget=100)
+            span_equals(gens, naive_span(gens, 30, 3), 30, budget=100)
 
     def test_empty_generators(self):
         assert span_equals([], [(0, 0)], 5)
@@ -178,24 +184,8 @@ class TestSpan:
         assert not span_equals([(1,)], [(0,)], 10**12)
 
 
-# Naive references, kept here only: the breadth-first closure, a filter over
-# every labeling, and the lcm of the entries' orders.
-
-
-def naive_span(generators, m, n):
-    zero = (0,) * n
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                y = tuple((a + b) % m for a, b in zip(x, g))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+# Naive references, kept here only: a filter over every labeling and the lcm
+# of the entries' orders.  The breadth-first closure is ``support.naive_span``.
 
 
 def naive_splines(G):
@@ -246,7 +236,7 @@ class TestAgainstNaiveReferences:
             gens = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
             gens += gens[: rng.randint(0, len(gens))]  # repeats
             expected = naive_span(gens, m, n)
-            assert span(gens, m, n) == expected, (G, gens)
+            assert span_equals(gens, expected, m), (G, gens)
             assert span_equals(gens, splines, m) == (expected == set(splines))
             assert span_equals(gens, set(splines), m) == (expected == set(splines))
 
@@ -266,23 +256,26 @@ class TestAgainstNaiveReferences:
         fp = fingerprint([()], 5)
         assert fp.order_census == ((1, 1),)
         assert fp.invariant_factors == ()
-        assert span([(), ()], 5, 0) == {()}
+        assert span_equals([(), ()], {()}, 5)
 
     def test_span_of_a_small_subgroup_of_a_large_modulus(self):
         # the shift tables cover the residues present, not all of Z/m
         m = 10**12
-        assert span([(m // 2, 0), (0, m // 4)], m, 2) == {
-            (a * m // 2, b * m // 4) for a in range(2) for b in range(4)
-        }
+        subgroup = {(a * m // 2, b * m // 4) for a in range(2) for b in range(4)}
+        assert span_equals([(m // 2, 0), (0, m // 4)], subgroup, m)
 
     def test_budget_on_a_large_modulus(self):
         # the shift tables grow with the cosets built, not with m
+        # (the set holds the first 100 multiples, so no coset before the
+        # 51st settles the answer)
         with pytest.raises(BudgetExceeded) as exc:
-            span([(1,)], 10**12, 1, budget=50)
+            span_equals([(1,)], [(x,) for x in range(100)], 10**12, budget=50)
         assert exc.value.required == 51
 
     def test_empty_generator_list(self):
-        assert span([], 7, 3) == naive_span([], 7, 3) == {(0, 0, 0)}
+        assert naive_span([], 7, 3) == {(0, 0, 0)}
+        assert span_equals([], {(0, 0, 0)}, 7)
+        assert not span_equals([], {(0, 0, 0), (1, 1, 1)}, 7)
 
     def test_budget_boundary(self):
         rng = random.Random(13)
@@ -290,16 +283,14 @@ class TestAgainstNaiveReferences:
         while checked < 60:
             m, n = rng.randint(2, 12), rng.randint(1, 4)
             gens = [tuple(rng.randrange(m) for _ in range(n)) for _ in range(rng.randint(1, 3))]
-            size = len(naive_span(gens, m, n))
+            closure = naive_span(gens, m, n)
+            size = len(closure)
             if size < 2:
                 continue
-            assert len(span(gens, m, n, budget=size)) == size
-            with pytest.raises(BudgetExceeded):
-                span(gens, m, n, budget=size - 1)
-            closure = naive_span(gens, m, n)
             assert span_equals(gens, closure, m, budget=size)
-            with pytest.raises(BudgetExceeded):
+            with pytest.raises(BudgetExceeded) as exc:
                 span_equals(gens, closure, m, budget=size - 1)
+            assert exc.value.required == size
             checked += 1
 
     def test_additive_order_matches_lcm_of_entry_orders(self):

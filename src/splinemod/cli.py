@@ -242,39 +242,86 @@ def _extend_report(args: argparse.Namespace) -> dict:
 def _json_text(value) -> str:
     """Exactly ``json.dumps(value, indent=2)`` for a report (string keys).
 
-    A tuple is written as ``json.dumps`` writes a list.  The bulk of a report
-    is written in whole-list passes, with no Python call per element: names
-    by the string encoder ``json.dumps`` uses, vectors and edges by ``_rows``.
-    Reports repeat their vectors (the generating set is also the display
-    set), so a memo, fresh for each call, maps the indent that closes an int
-    row to ``{row: text}``: each distinct row is formatted once per depth.
+    A tuple is written as ``json.dumps`` writes a list.  ``_write`` appends
+    the pieces of the text to one buffer, which is joined once at the end,
+    so no text is copied again by the levels that hold it.  The bulk of a
+    report is written in whole-list passes, with no Python call per element:
+    names by the string encoder ``json.dumps`` uses, vectors and edges by
+    ``_rows``.  Reports repeat their vectors, so two memos, fresh for each
+    call, save formatting them again:
+
+    * a row-set memo maps ``id`` of each row-set container (a list or tuple
+      whose rows ``_rows`` accepts) to the container, the indent it was
+      written at and its text.  The container is kept so that its id cannot
+      be reused.  Met again at the same indent, the text is reused as it
+      is; met deeper, as ``text.replace("\\n", "\\n" + pad)``, which is
+      exact because a line break in that text only ever starts an
+      indentation (ints and encoded strings hold no raw newline); met
+      shallower, it is written again.
+    * a row memo maps the indent that closes an int row to ``{row: text}``,
+      so a new container over the same rows (the display set is a new list
+      over the generating set's rows) formats each distinct row once per
+      depth.
     """
-    return _write(value, "\n", {})
+    out: list[str] = []
+    _write(value, "\n", out, {}, {})
+    return "".join(out)
 
 
-def _write(value, indent: str, memo: dict[str, dict[tuple[int, ...], str]]) -> str:
-    # indent: the newline and indentation before the closing bracket
+def _write(
+    value,
+    indent: str,
+    out: list[str],
+    sets: dict[int, tuple[list | tuple, str, str]],
+    memo: dict[str, dict[tuple[int, ...], str]],
+) -> None:
+    """Append the text of ``value`` to ``out``, closed by ``indent`` (the
+    newline and indentation before its closing bracket).  ``sets`` is the
+    row-set memo of ``_json_text`` and ``memo`` its row memo."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = (_encode(k) + ": " + _write(v, inner, memo) for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for k, v in value.items():
+            out.append(sep + _encode(k) + ": ")
+            sep = "," + inner
+            _write(v, inner, out, sets, memo)
+        out.append(indent + "}")
+        return
     if not isinstance(value, (list, tuple)):
-        return json.dumps(value)
+        out.append(json.dumps(value))
+        return
     if not value:
-        return "[]"
+        out.append("[]")
+        return
     kinds = set(map(type, value))
     if kinds == {int}:
-        return next(_rows((value,), indent, memo))
-    items = None
+        out.append(next(_rows((value,), indent, memo)))
+        return
     if kinds == {str}:
-        items = map(_encode, value)
-    elif kinds <= {list, tuple}:
-        items = _rows(value, inner, memo)
-    if items is None:
-        items = (_write(v, inner, memo) for v in value)
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+        out.append("[" + inner + ("," + inner).join(map(_encode, value)) + indent + "]")
+        return
+    if kinds <= {list, tuple}:
+        seen = sets.get(id(value))
+        if seen is not None and len(seen[1]) <= len(indent):
+            _, at, text = seen
+            pad = indent[len(at):]
+            out.append(text.replace("\n", "\n" + pad) if pad else text)
+            return
+        rows = _rows(value, inner, memo)
+        if rows is not None:
+            text = "[" + inner + ("," + inner).join(rows) + indent + "]"
+            sets[id(value)] = (value, indent, text)
+            out.append(text)
+            return
+    sep = "[" + inner
+    for v in value:
+        out.append(sep)
+        sep = "," + inner
+        _write(v, inner, out, sets, memo)
+    out.append(indent + "]")
 
 
 def _rows(rows, indent: str, memo: dict[str, dict[tuple[int, ...], str]]):
@@ -456,7 +503,8 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         if args.json:
-            sys.stdout.write(_json_text(report) + "\n")
+            sys.stdout.write(_json_text(report))
+            sys.stdout.write("\n")
         else:
             args.show(report, sys.stdout)
     finally:

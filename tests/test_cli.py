@@ -752,10 +752,32 @@ _JSON_VALUE = st.recursive(
 )
 
 
+@st.composite
+def _shared_row_set(draw):
+    """A value that holds one drawn row set, the same object, at several
+    places and depths, as reports hold their generating sets."""
+    rows = draw(_row_set())
+    return draw(
+        st.recursive(
+            st.just(rows) | _JSON_LEAF,
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_TEXT, inner, max_size=3),
+            max_leaves=8,
+        )
+    )
+
+
+# One object each, placed more than once by the examples below: the writer
+# remembers a row-set container by identity.
+_SHARED_LISTS = [[0, 1], [2, -3], [0, 1]]
+_SHARED_TUPLES = ((0, 1), (2, -3))
+_SHARED_BOOL_ROWS = [(1, True), (2, 3)]
+_SHARED_EDGES = [["a", "b\u00e9", 2], ["b", "c", 30]]
+
+
 class TestJsonOutput:
     """``--json`` prints exactly ``json.dumps(report, indent=2)`` and a newline."""
 
-    @given(_JSON_VALUE)
+    @given(_JSON_VALUE | _shared_row_set())
     @example([1, True, None, [2, -3], [], {}, 2**64 + 1])
     @example({"a": [[0, 1], [2]], "b\"\u00e9": {"": []}, "c": (4, 5)})
     @example([[1], [True], [1]])
@@ -770,6 +792,12 @@ class TestJsonOutput:
     @example([["a", "b\u00e9", 2], ("c", "d", 30)])
     @example([["a", "b", 2], ["a", "b", True]])
     @example({"x": [(1, 2), (1, 2)], "y": {"z": [(1, 2)]}, "w": (1, 2)})
+    @example({"deep": [{"x": _SHARED_LISTS}], "top": _SHARED_LISTS})
+    @example({"top": _SHARED_LISTS, "deep": [{"x": _SHARED_LISTS}], "again": _SHARED_LISTS})
+    @example([_SHARED_TUPLES, _SHARED_TUPLES, {"x": _SHARED_TUPLES}])
+    @example({"a": _SHARED_LISTS, "b": _SHARED_LISTS})
+    @example({"a": _SHARED_BOOL_ROWS, "b": [_SHARED_BOOL_ROWS], "c": _SHARED_BOOL_ROWS})
+    @example({"edges": [{"e": _SHARED_EDGES}], "top": _SHARED_EDGES, "again": _SHARED_EDGES})
     def test_writer_matches_json_dumps(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2)
 

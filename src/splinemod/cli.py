@@ -20,6 +20,7 @@ from .arith import additive_order, factorize
 from .cycles import GeneratingSet, closed_form, cycle_instance, leading_index
 from .decompose import decompose
 from .engine import (
+    IntVectors,
     SplineModule,
     extension_analysis,
     invariant_factors,
@@ -42,14 +43,15 @@ def _load_graph(path: str, order: str | None = None) -> EdgeLabeledGraph:
     return G.with_vertex_order([name.strip() for name in order.split(",")])
 
 
-def _display_generators(module: SplineModule) -> list[tuple[int, ...]]:
+def _display_generators(module: SplineModule) -> tuple[tuple[int, ...], ...]:
     """Largest order first, then latest leading vertex first; the stored
-    module keeps ascending factor pairing."""
+    module keeps ascending factor pairing.  The same row objects, in a
+    container of the stored set's type, so an ``IntVectors`` stays one."""
     paired = sorted(
         zip(module.invariant_factors, module.mgs),
         key=lambda fv: (-fv[0], -leading_index(fv[1])),
     )
-    return [vec for _, vec in paired]
+    return type(module.mgs)(vec for _, vec in paired)
 
 
 # The report builders below hand the writer the tuples the solvers store:
@@ -244,24 +246,32 @@ def _json_text(value) -> str:
 
     A tuple is written as ``json.dumps`` writes a list.  ``_write`` appends
     the pieces of the text to one buffer, which is joined once at the end,
-    so no text is copied again by the levels that hold it.  The bulk of a
-    report is written in whole-list passes, with no Python call per element:
-    names by the string encoder ``json.dumps`` uses, vectors and edges by
-    ``_rows``.  Reports repeat their vectors, so two memos, fresh for each
-    call, save formatting them again:
+    so no text is copied again by the levels that hold it.  Plain ints and
+    strs, None, True and False are written directly; any other scalar goes
+    through ``json.dumps``.  The bulk of a report is written in whole-list
+    passes, with no Python call per element: names by the string encoder
+    ``json.dumps`` uses, vectors and edges by ``_rows``.  A vector set the
+    solvers made is an ``engine.IntVectors``, whose entries were checked
+    to be plain ints where it was made, so its rows skip the copy, the
+    length check and the per-entry type check and go straight to
+    ``_int_rows``.  Reports repeat their vectors, so two memos, fresh for
+    each call, save formatting them again:
 
-    * a row-set memo maps ``id`` of each row-set container (a list or tuple
-      whose rows ``_rows`` accepts) to the container, the indent it was
-      written at and its text.  The container is kept so that its id cannot
-      be reused.  Met again at the same indent, the text is reused as it
-      is; met deeper, as ``text.replace("\\n", "\\n" + pad)``, which is
-      exact because a line break in that text only ever starts an
-      indentation (ints and encoded strings hold no raw newline); met
-      shallower, it is written again.
+    * a row-set memo maps ``id`` of each row-set container (an
+      ``IntVectors``, or a list or tuple whose rows ``_rows`` accepts) to
+      the container, the indent it was written at and its text.  The
+      container is kept so that its id cannot be reused.  Met again at the
+      same indent, the text is reused as it is; met deeper, as
+      ``text.replace("\\n", "\\n" + pad)``, which is exact because a line
+      break in that text only ever starts an indentation (ints and encoded
+      strings hold no raw newline); met shallower, it is written again.
     * a row memo maps the indent that closes an int row to ``{row: text}``,
-      so a new container over the same rows (the display set is a new list
-      over the generating set's rows) formats each distinct row once per
-      depth.
+      so a new container over the same rows (the display set is a new
+      container over the generating set's rows) formats each distinct row
+      once per depth.  It only ever holds rows of plain ints, whichever
+      path added them: a plain row set enters it only after the type check
+      passes, since ``(True,) == (1,)`` prints differently, so a plain row
+      set that holds ``True`` still takes the checked path.
     """
     out: list[str] = []
     _write(value, "\n", out, {}, {})
@@ -278,6 +288,16 @@ def _write(
     """Append the text of ``value`` to ``out``, closed by ``indent`` (the
     newline and indentation before its closing bracket).  ``sets`` is the
     row-set memo of ``_json_text`` and ``memo`` its row memo."""
+    kind = type(value)
+    if kind is int:
+        out.append(int.__repr__(value))
+        return
+    if kind is str:
+        out.append(_encode(value))
+        return
+    if value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+        return
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -296,21 +316,23 @@ def _write(
     if not value:
         out.append("[]")
         return
-    kinds = set(map(type, value))
-    if kinds == {int}:
-        out.append(next(_rows((value,), indent, memo)))
-        return
-    if kinds == {str}:
-        out.append("[" + inner + ("," + inner).join(map(_encode, value)) + indent + "]")
-        return
-    if kinds <= {list, tuple}:
+    trusted = kind is IntVectors
+    if not trusted:
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            out.append(next(_rows((value,), indent, memo)))
+            return
+        if kinds == {str}:
+            out.append("[" + inner + ("," + inner).join(map(_encode, value)) + indent + "]")
+            return
+    if trusted or kinds <= {list, tuple}:
         seen = sets.get(id(value))
         if seen is not None and len(seen[1]) <= len(indent):
             _, at, text = seen
             pad = indent[len(at):]
             out.append(text.replace("\n", "\n" + pad) if pad else text)
             return
-        rows = _rows(value, inner, memo)
+        rows = _int_rows(value, inner, memo) if trusted else _rows(value, inner, memo)
         if rows is not None:
             text = "[" + inner + ("," + inner).join(rows) + indent + "]"
             sets[id(value)] = (value, indent, text)
@@ -324,21 +346,33 @@ def _write(
     out.append(indent + "]")
 
 
+def _template(width: int, indent: str) -> str:
+    """The ``%s`` template of a row of ``width`` values closed by ``indent``."""
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(["%s"] * width) + indent + "]"
+
+
+def _int_rows(rows, indent: str, memo: dict[str, dict[tuple[int, ...], str]]):
+    """The texts of equal-length, nonempty tuples of plain ints closed by
+    ``indent``, each distinct row formatted once per indent through the
+    row memo.  The caller has checked the rows, or holds an ``IntVectors``."""
+    texts = memo.setdefault(indent, {})
+    new = set(rows).difference(texts)
+    texts.update(zip(new, map(_template(len(rows[0]), indent).__mod__, new)))
+    return map(texts.__getitem__, rows)
+
+
 def _rows(rows, indent: str, memo: dict[str, dict[tuple[int, ...], str]]):
     """The texts of equal-length, nonempty rows closed by ``indent``, one
     ``%s`` template filled per row; None unless each column holds only plain
-    ints or only plain strs.  Int rows enter the memo only after the whole
-    set passes that check, since ``(True,) == (1,)`` prints differently."""
+    ints or only plain strs.  All-int rows go to ``_int_rows`` only after
+    the whole set passes that check, since ``(True,) == (1,)`` prints
+    differently."""
     rows = tuple(map(tuple, rows))
     if len(set(map(len, rows))) > 1 or not rows[0]:
         return None
-    inner = indent + "  "
-    fmt = "[" + inner + ("," + inner).join(["%s"] * len(rows[0])) + indent + "]"
     if set(map(type, chain.from_iterable(rows))) == {int}:
-        texts = memo.setdefault(indent, {})
-        new = set(rows).difference(texts)
-        texts.update(zip(new, map(fmt.__mod__, new)))
-        return map(texts.__getitem__, rows)
+        return _int_rows(rows, indent, memo)
     columns = list(zip(*rows))
     for i, column in enumerate(columns):
         kinds = set(map(type, column))
@@ -346,7 +380,7 @@ def _rows(rows, indent: str, memo: dict[str, dict[tuple[int, ...], str]]):
             columns[i] = map(_encode, column)
         elif kinds != {int}:
             return None
-    return map(fmt.__mod__, zip(*columns))
+    return map(_template(len(rows[0]), indent).__mod__, zip(*columns))
 
 
 def _vec(v) -> str:

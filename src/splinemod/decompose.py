@@ -13,14 +13,15 @@ tests and by the CLI cross-check.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, count
 from math import prod
 
 from .arith import crt_combine, factorize
-from .engine import SplineModule, invariant_factors
+from .engine import IntVectors, SplineModule, _vertex_major, invariant_factors
 from .errors import InternalInconsistency, InvalidModulus, NonCoprimeModuli, NotADivisor
-from .graph import EdgeLabeledGraph, check_splines
+from .graph import EdgeLabeledGraph
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,14 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
     generators g_q, where e_q is the CRT idempotent of q (1 mod q, 0 mod
     m/q).  Entry by entry this is the unique residue in [0, m) that reduces
     to g_q mod every q.  Each g_q adds e_q times its nonzero entries, and
-    only those, into a running total, which is reduced mod m once; a Z/p
-    component's generators are indicators of disjoint merge classes, so its
-    n' generators hold n nonzeros in all.  A component with fewer generators
-    contributes the zero labeling to the missing slots, so the j-th glued
-    generator accumulates the j-th largest order from every component and
-    the glued orders form the invariant-factor chain.  The glued vectors are
+    only those, into a running total held as a dict of its nonzeros, and
+    only those entries are reduced mod m; a Z/p component's generators are
+    indicators of disjoint merge classes, so its n' generators hold n
+    nonzeros in all.  A component with fewer generators contributes the
+    zero labeling to the missing slots, so the j-th glued generator
+    accumulates the j-th largest order from every component and the glued
+    orders form the invariant-factor chain.  ``engine._vertex_major`` makes
+    the glued vectors dense ``IntVectors``, checked to hold plain ints and
     checked as one vertex-major block, every vector against every edge
     condition of G, in a single ``check_splines`` call; the first failing
     vector, largest order first, is named.
@@ -90,7 +93,6 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
         ]
     except NonCoprimeModuli as exc:
         raise InternalInconsistency(f"component moduli {moduli}: {exc}") from None
-    mod_m = m.__rmod__  # x -> x % m
     # (order, generator) lists, largest order first; mgs is stored ascending.
     stacks = [
         list(zip(comp.module.invariant_factors, comp.module.mgs))[::-1]
@@ -100,7 +102,7 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
     vectors = []
     for j in range(max(map(len, stacks))):
         order = 1
-        total = [0] * G.n
+        total: defaultdict[int, int] = defaultdict(int)
         for e, stack in zip(idempotents, stacks):
             if j < len(stack):
                 factor, gen = stack[j]
@@ -108,12 +110,12 @@ def recombine(components: list[ComponentSolution], G: EdgeLabeledGraph) -> Splin
                 for i, x in zip(compress(count(), gen), filter(None, gen)):
                     total[i] += e * x
         orders.append(order)
-        vectors.append(tuple(map(mod_m, total)))
-    check_splines(G, tuple(zip(*vectors)), "recombined vector")
+        vectors.append({i: z for i, x in total.items() if (z := x % m)})
+    glued = _vertex_major(G, G.n, vectors, "recombined vector")
     factors = tuple(orders[::-1])  # ascending
     for a, b in zip(factors, factors[1:]):
         if b % a != 0:
             raise InternalInconsistency(
                 f"recombined orders {factors} do not form a divisibility chain"
             )
-    return SplineModule(m, factors, tuple(vectors[::-1]), raw_diagonal=factors)
+    return SplineModule(m, factors, IntVectors(glued[::-1]), raw_diagonal=factors)

@@ -30,7 +30,12 @@ Smith transform as sparse columns, ``IntMatrix.nonzeros``, with no dense
 copy, identity or transpose between kernels.  The printed vectors are
 reduced from those columns and written, nonzeros only, into one
 vertex-major block (one row per vertex), which is pulled back, checked and
-transposed once into dense tuples.
+transposed once into dense tuples.  That one step, ``_vertex_major``, is
+also where the nonzeros are checked to be plain ints, so its result is an
+``IntVectors``: a tuple of vectors that the ``--json`` writer prints
+without checking each entry's type again.  Every vector set the solvers
+return (``mgs``, ``flow_up``, the integer lattice basis and the CRT glue's
+generators) is one.
 
 A mod-m graph that normalizes to no edge skips the kernels.  Every label
 of it was a unit or zero mod m, as on each Z/p component of a CRT split,
@@ -44,12 +49,27 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm, prod
 
 from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
 from .graph import EdgeLabeledGraph, NormalizationReport, check_splines, normalize
 from .matrix import IntMatrix, hnf, snf, triangular_hnf
+
+
+class IntVectors(tuple):
+    """Vectors as a tuple of equal-length tuples whose every entry is a
+    plain ``int``, checked where the vectors were made.
+
+    ``_vertex_major``, the one step where the solvers' sparse vectors
+    become dense, makes them: it checks the nonzeros' types and writes
+    them into a block of literal zeros.  Otherwise one is made only from
+    the rows of another, taken in a new order or in part.  It is a tuple,
+    so it compares, hashes, pickles and dumps as one; the ``--json`` writer
+    trusts its type and skips the per-entry checks.
+    """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -71,6 +91,10 @@ class SplineModule:
     * the CRT glue (``decompose.recombine``) takes no Smith form and glues
       no flow-up set: its ``raw_diagonal`` is its factors and its
       ``flow_up`` keeps the default, empty.
+
+    Both paths store ``mgs`` and a nonempty ``flow_up`` as ``IntVectors``,
+    so each printed vector was checked to hold plain ints once, where it
+    was made.
     """
 
     modulus: int
@@ -149,7 +173,7 @@ def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
 
 def pulled_back_lattice(
     G: EdgeLabeledGraph,
-) -> tuple[tuple[tuple[int, ...], ...], NormalizationReport]:
+) -> tuple[IntVectors, NormalizationReport]:
     """Integer lattice basis columns of any graph, on its own vertices.
 
     The graph is normalized, its lattice basis computed, and its rows
@@ -157,20 +181,40 @@ def pulled_back_lattice(
     condition of G; the normalization report is returned alongside.
     """
     gnorm, report = normalize(G)
-    rows = report.pull_back(_vertex_major(gnorm.n, integer_lattice(gnorm).nonzeros))
-    check_splines(G, rows, "lattice basis column")
-    return tuple(zip(*rows)), report
+    columns = integer_lattice(gnorm).nonzeros
+    return _vertex_major(G, gnorm.n, columns, "lattice basis column", report), report
 
 
-def _vertex_major(n: int, vectors: Sequence[dict[int, int]]) -> list[list[int]]:
-    """The vertex-major block of sparse vectors on n vertices: row i holds
-    every vector's value at vertex i.  Only the nonzeros are written, so
-    the Python-level work follows them, not the size of the block."""
+def _vertex_major(
+    G: EdgeLabeledGraph,
+    n: int,
+    vectors: Sequence[dict[int, int]],
+    what: str,
+    report: NormalizationReport | None = None,
+) -> IntVectors:
+    """Sparse vectors on n vertices as checked dense vectors on G's vertices.
+
+    One C-level pass over the nonzeros first checks that each is a plain
+    ``int``.  Then only the nonzeros are written into a vertex-major block
+    of literal zeros (row i holds every vector's value at vertex i), so the
+    Python-level work follows them, not the size of the block.  The block
+    is pulled back through ``report``'s vertex merges (None: its rows are
+    already G's vertices), checked against every edge condition of G in
+    one ``check_splines`` call, which names the first failing vector as
+    ``what``, and transposed once into the ``IntVectors``.
+    """
+    others = set(map(type, chain.from_iterable(map(dict.values, vectors)))) - {int}
+    if others:
+        names = ", ".join(sorted(kind.__name__ for kind in others))
+        raise InternalInconsistency(f"{what} has a nonzero entry of type {names}")
     rows = [[0] * len(vectors) for _ in range(n)]
     for j, vector in enumerate(vectors):
         for i, x in vector.items():
             rows[i][j] = x
-    return rows
+    if report is not None:
+        rows = report.pull_back(rows)
+    check_splines(G, rows, what)
+    return IntVectors(zip(*rows))
 
 
 def _scaled_inverse(B: IntMatrix, m: int) -> IntMatrix:
@@ -225,18 +269,20 @@ def normalized_module(
 
     The generators (V's columns scaled by m/d_j) and the flow-up vectors
     (B's columns) are reduced mod m as sparse vectors on the normalized
-    vertices, a flow-up vector that vanishes mod m dropped, and their
-    nonzeros are written into a vertex-major block (one row per vertex).
-    Pulling the block back through the vertex merges indexes its rows, so
-    the vertices of one merge class share one row object.  The whole
-    block, generators first, is checked against every edge condition of G
-    in one ``check_splines`` call, and transposed once into the vectors.
+    vertices, a flow-up vector that vanishes mod m dropped, and handed to
+    ``_vertex_major`` together, generators first.  It writes their
+    nonzeros into a vertex-major block (one row per vertex) and pulls it
+    back through the vertex merges, which indexes its rows, so the
+    vertices of one merge class share one row object.  The whole block is
+    checked against every edge condition of G in one ``check_splines``
+    call and transposed once into ``IntVectors``, which are split into
+    ``mgs`` and ``flow_up``.
 
     A normalized graph with no edge returns early, without the kernels:
     B = I and m*I is its own Smith form, so d = (m,)*n' and V = I, and the
     generators and the flow-up vectors are the same n' unit vectors.  They
-    are written as one block, pulled back, checked and transposed once,
-    and ``mgs`` and ``flow_up`` share the result.
+    go through ``_vertex_major`` as one block, and ``mgs`` and ``flow_up``
+    share the result.
     """
     m = G.modulus
     if m == 0:
@@ -249,9 +295,7 @@ def normalized_module(
         d = (m,) * n
         factors = d if m > 1 else ()
         units = [{i: 1} for i in range(len(factors))]
-        rows = report.pull_back(_vertex_major(n, units))
-        check_splines(G, rows, "generated vector")
-        mgs = tuple(zip(*rows))
+        mgs = _vertex_major(G, n, units, "generated vector", report)
         return SplineModule(m, factors, mgs, d, mgs)
     B = integer_lattice(gnorm)
     d, V = snf(_scaled_inverse(B, m), m)
@@ -275,12 +319,10 @@ def normalized_module(
             vectors.append(reduced)
 
     # m = 1 leaves no vector: the block is then one empty row per vertex
-    rows = report.pull_back(_vertex_major(gnorm.n, vectors))
-    # the block holds every value now: free the dicts before the transpose
-    del vectors
-    check_splines(G, rows, "generated vector")
-    columns = tuple(zip(*rows))
-    return SplineModule(m, tuple(factors), columns[:k], d, columns[k:])
+    columns = _vertex_major(G, gnorm.n, vectors, "generated vector", report)
+    return SplineModule(
+        m, tuple(factors), IntVectors(columns[:k]), d, IntVectors(columns[k:])
+    )
 
 
 def _skip(i: int, vi: int) -> int:

@@ -394,6 +394,42 @@ class TestSolve:
         err = mismatch(capsys, ["solve", str(path), "--direct"], "generated vector")
         assert named_vector(err, "generated vector") == (1, 2, 0)
 
+    @pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+    @pytest.mark.parametrize(
+        "owner, text, flags, what",
+        [
+            ("engine", TRI36_TEXT, ["--direct"], "generated vector"),
+            ("engine", "mod 7\nvertices a b c\nedge a b 0\nedge b c 3\n", ["--direct"], "generated vector"),
+            ("engine", "mod 0\nvertices a b\nedge a b 2\n", [], "lattice basis column"),
+            ("decompose", C21_TEXT, ["--crt"], "recombined vector"),
+        ],
+        ids=["smith", "free", "integer", "recombined"],
+    )
+    def test_non_int_nonzero_exit_4(
+        self, capsys, tmp_path, monkeypatch, value, owner, text, flags, what
+    ):
+        # a solver nonzero that is not a plain int, slipped into the sparse
+        # vectors on their way to the dense block, is refused where they
+        # become dense, so no vector the writer trusts can hold it
+        module = importlib.import_module(f"splinemod.{owner}")
+        original = module._vertex_major
+
+        def corrupted(G, n, vectors, what, report=None):
+            vectors = [dict(vector) for vector in vectors]
+            first = next(vector for vector in vectors if vector)
+            first[next(iter(first))] = value
+            return original(G, n, vectors, what, report)
+
+        monkeypatch.setattr(module, "_vertex_major", corrupted)
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        for extra in ([], ["--json"]):
+            mismatch(
+                capsys,
+                ["solve", str(path), *flags, *extra],
+                f"{what} has a nonzero entry of type {type(value).__name__}",
+            )
+
     def test_bad_component_generator_exit_4(self, capsys, c21, monkeypatch):
         # the mod-3 component's generators moved by 1 at v1 glue into
         # vectors that fail the mod-3 edge v1-v2
@@ -766,18 +802,47 @@ def _shared_row_set(draw):
     )
 
 
+def _int_vectors(n: int, vectors: list[dict[int, int]]) -> engine.IntVectors:
+    """Sparse int vectors on n vertices made dense by the engine's one maker
+    of ``IntVectors``; the graph has no edge, so every vector passes."""
+    G = graph.EdgeLabeledGraph(0, tuple(f"v{i}" for i in range(n)), ())
+    return engine._vertex_major(G, n, vectors, "vector")
+
+
+_SPARSE_INT = st.sampled_from((2**64 + 1, -(2**64 + 1), -1, 1, 2)) | _JSON_INT
+
+
+@st.composite
+def _shared_int_vectors(draw):
+    """An ``IntVectors`` from random sparse int vectors and a second one
+    over the same rows in reverse, as the display set is, each placed, the
+    same object, at several places and depths beside plain row sets."""
+    n = draw(st.integers(1, 4))
+    sparse = st.dictionaries(st.integers(0, n - 1), _SPARSE_INT, max_size=n)
+    vectors = _int_vectors(n, draw(st.lists(sparse, max_size=5)))
+    reordered = engine.IntVectors(vectors[::-1])
+    return draw(
+        st.recursive(
+            st.sampled_from((vectors, reordered)) | _row_set() | _JSON_LEAF,
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_TEXT, inner, max_size=3),
+            max_leaves=8,
+        )
+    )
+
+
 # One object each, placed more than once by the examples below: the writer
 # remembers a row-set container by identity.
 _SHARED_LISTS = [[0, 1], [2, -3], [0, 1]]
 _SHARED_TUPLES = ((0, 1), (2, -3))
 _SHARED_BOOL_ROWS = [(1, True), (2, 3)]
 _SHARED_EDGES = [["a", "b\u00e9", 2], ["b", "c", 30]]
+_INT_VECTORS_12 = _int_vectors(2, [{0: 1, 1: 2}])  # ((1, 2),)
 
 
 class TestJsonOutput:
     """``--json`` prints exactly ``json.dumps(report, indent=2)`` and a newline."""
 
-    @given(_JSON_VALUE | _shared_row_set())
+    @given(_JSON_VALUE | _shared_row_set() | _shared_int_vectors())
     @example([1, True, None, [2, -3], [], {}, 2**64 + 1])
     @example({"a": [[0, 1], [2]], "b\"\u00e9": {"": []}, "c": (4, 5)})
     @example([[1], [True], [1]])
@@ -798,8 +863,20 @@ class TestJsonOutput:
     @example({"a": _SHARED_LISTS, "b": _SHARED_LISTS})
     @example({"a": _SHARED_BOOL_ROWS, "b": [_SHARED_BOOL_ROWS], "c": _SHARED_BOOL_ROWS})
     @example({"edges": [{"e": _SHARED_EDGES}], "top": _SHARED_EDGES, "again": _SHARED_EDGES})
+    # an IntVectors skips the type check, but a plain set with equal rows
+    # beside it, one holding True included, is still checked and printed
+    @example([_INT_VECTORS_12, [(True, 2)]])
+    @example([[(True, 2)], _INT_VECTORS_12])
+    @example({"a": _INT_VECTORS_12, "b": ((1, 2),)})
+    @example({"a": ((1, 2),), "b": _INT_VECTORS_12, "c": [_INT_VECTORS_12]})
     def test_writer_matches_json_dumps(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_display_set_is_int_vectors_over_the_same_rows(self):
+        module = engine.invariant_factors(parse_graph(C21_TEXT))
+        display = cli._display_generators(module)
+        assert type(display) is engine.IntVectors
+        assert sorted(map(id, display)) == sorted(map(id, module.mgs))
 
     @pytest.mark.parametrize(
         "argv",

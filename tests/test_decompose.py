@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 from math import prod
 
 import pytest
@@ -102,6 +104,22 @@ class TestRecombine:
             reduced_gens = {tuple(x % q for x in g) for g in dec.recombined.mgs}
             splines_q = enumerate_splines(comp.graph)
             assert span_equals(sorted(reduced_gens), splines_q, q)
+
+    def test_check_names_the_largest_order_failing_vector(self):
+        # the mod-4 generators moved by 1 at v1 glue into two vectors that
+        # both fail; the one of largest order, 36, is named
+        dec = decompose(TRI36)
+        bumped = [
+            dataclasses.replace(comp, module=dataclasses.replace(
+                comp.module, mgs=tuple((v[0] + 1, *v[1:]) for v in comp.module.mgs),
+            )) if comp.prime_power == 4 else comp
+            for comp in dec.components
+        ]
+        glued = reference_glued_vectors(bumped, TRI36)  # largest order first
+        failing = [v for v in glued if not reference_spline_check(TRI36, v)]
+        assert len(failing) == 2
+        with pytest.raises(InternalInconsistency, match=re.escape(f"vector {failing[0]} fails")):
+            recombine(bumped, TRI36)
 
     def test_uneven_ranks_pad_with_zero(self):
         # one rank-2 component and one rank-1 component

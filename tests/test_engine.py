@@ -1,4 +1,6 @@
+import json
 import pathlib
+import pickle
 import random
 import time
 from collections import Counter
@@ -9,11 +11,14 @@ from hypothesis import given, strategies as st
 
 from splinemod import engine
 from splinemod.arith import additive_order
+from splinemod.decompose import decompose
 from splinemod.engine import (
+    IntVectors,
     SplineModule,
     extension_analysis,
     integer_lattice,
     invariant_factors,
+    normalized_module,
     pulled_back_lattice,
 )
 from splinemod.errors import InternalInconsistency, InvalidModulus, NotAnExtension
@@ -256,6 +261,53 @@ class TestModuleVectors:
             else:
                 assert pulled_back_lattice(G)[0] == reference
         assert merged and (dropped or m == 1)  # mod 1 every edge merges
+
+
+class TestIntVectors:
+    """Every vector set a solver returns is an ``IntVectors``, so none can
+    silently fall back to the ``--json`` writer's checked path, and
+    ``_vertex_major`` refuses a nonzero that is not a plain int."""
+
+    @pytest.mark.parametrize("m, free", [
+        *(pytest.param(m, False, id=str(m)) for m in (0, 1, 7, 12, 36, 30030)),
+        pytest.param(30, True, id="30-free"),
+    ])
+    def test_every_solver_vector_set(self, m, free):
+        rng = random.Random(71 + m)
+        edgeless = 0
+        for _ in range(20):
+            G = TestModuleVectors.random_graph(rng, m, free)
+            if not m:
+                assert type(pulled_back_lattice(G)[0]) is IntVectors
+                continue
+            gnorm, report = normalize(G)
+            edgeless += not gnorm.edges
+            module = normalized_module(G, gnorm, report)
+            assert type(module.mgs) is IntVectors
+            assert type(module.flow_up) is IntVectors
+            if m > 1:
+                assert type(decompose(G).recombined.mgs) is IntVectors
+        assert edgeless or m in (0, 12, 36, 30030)
+
+    def test_behaves_as_a_tuple(self):
+        G = EdgeLabeledGraph(0, ("a", "b"), ())
+        vectors = engine._vertex_major(G, 2, [{0: 2**64 + 1}, {}, {1: -3}], "vector")
+        plain = ((2**64 + 1, 0), (0, 0), (0, -3))
+        assert type(vectors) is IntVectors
+        assert vectors == plain and hash(vectors) == hash(plain)
+        assert json.dumps(vectors) == json.dumps(plain)
+        copy = pickle.loads(pickle.dumps(vectors))
+        assert type(copy) is IntVectors and copy == plain
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(True, "bool"), (2.0, "float"), (type("Wide", (int,), {})(3), "Wide")],
+        ids=["bool", "float", "int-subclass"],
+    )
+    def test_vertex_major_rejects_a_non_int_nonzero(self, value, kind):
+        G = EdgeLabeledGraph(0, ("a", "b"), ())
+        with pytest.raises(InternalInconsistency, match=f"vector has a nonzero entry of type {kind}"):
+            engine._vertex_major(G, 2, [{0: 1}, {1: value}], "vector")
 
 
 class TestInvariantFactors:

@@ -79,9 +79,8 @@ def _normalization_json(report) -> dict:
 
 def _oracle_block(G: EdgeLabeledGraph, module: SplineModule, budget: int | None) -> dict:
     splines = enumerate_splines(G, budget)
-    members = set(splines)
-    print_fp = fingerprint(splines, G.modulus, members=members)
-    span_ok = span_equals(module.mgs, members, G.modulus, budget)
+    print_fp = fingerprint(splines, G.modulus)
+    span_ok = span_equals(module.mgs, splines, G.modulus, budget)
     block = {
         "spline_count": len(splines),
         "census_factors": list(print_fp.invariant_factors),

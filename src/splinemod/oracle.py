@@ -15,14 +15,25 @@ The per-element work runs in C iterators.  The census counts the gcd of each
 spline's entries and turns each distinct gcd d into the order m / gcd(m, d)
 once.  The closure holds a coset as one column per coordinate and shifts a
 column by looking each entry up in a table of (a + g_i) mod m.  The span
-check keeps no closure of its own: it strikes each coset off a copy of the
-spline set and answers False at the first coset that holds a non-spline.
+check keeps no closure of its own: it strikes each coset off the one hash
+set it builds over the splines and answers False at the first coset that
+holds a non-spline.
+
+The census and the span check take the splines as `enumerate_splines`
+returns them, a list in strict lexicographic order, and answer their few
+membership probes (the zero vector, the closure spot checks, one per
+generator and one per coset) by bisecting that list.  A probe says
+"present" only when it finds the vector itself, so a list that is unsorted
+or incomplete can only make a probe read "absent": `span_equals` then
+answers False and `fingerprint` raises NotAGroup.  Neither accepts a wrong
+answer.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Collection, Iterator, Sequence, Set as AbstractSet
 from dataclasses import dataclass
@@ -128,29 +139,28 @@ class ModuleFingerprint:
     invariant_factors: tuple[int, ...]  # ascending divisibility chain
 
 
-def fingerprint(
-    splines: list[tuple[int, ...]],
-    m: int,
-    members: AbstractSet[tuple[int, ...]] | None = None,
-) -> ModuleFingerprint:
+def fingerprint(splines: Sequence[tuple[int, ...]], m: int) -> ModuleFingerprint:
     """Census the additive orders of a spline set and read off the module.
 
-    The set must be closed under addition mod m; closure is spot-checked on
-    64 random pairs (NotAGroup on failure), never assumed silently.
-    ``members`` is the set of the splines, if the caller already holds it.
+    ``splines`` is a list of residue vectors in strict lexicographic order,
+    as `enumerate_splines` returns it.  The set must be closed under
+    addition mod m; closure is spot-checked on 64 random pairs (NotAGroup
+    on failure), never assumed silently.  The zero vector is present
+    exactly when it comes first, and each sum is looked up by bisection, so
+    a list out of order or with an element missing can only raise
+    NotAGroup, never pass a check it should fail.
     """
     if not splines:
         raise NotAGroup("empty set cannot be a module")
-    index = set(splines) if members is None else members
     n = len(splines[0])
-    if (0,) * n not in index:
+    if splines[0] != (0,) * n:
         raise NotAGroup("zero vector missing")
     rng = random.Random(0xC0FFEE)
     for _ in range(min(64, len(splines) ** 2)):
         a = rng.choice(splines)
         b = rng.choice(splines)
         s = tuple((x + y) % m for x, y in zip(a, b))
-        if s not in index:
+        if not _holds(splines, s):
             raise NotAGroup(f"{a} + {b} leaves the set")
 
     # The additive order of v is m / gcd(m, v_1, ..., v_n); for n = 0 the
@@ -264,6 +274,12 @@ def _cosets(
             multiple = tuple((a + x) % m for a, x in zip(multiple, g))
 
 
+def _holds(splines: Sequence[tuple[int, ...]], x: tuple[int, ...]) -> bool:
+    """Whether x is in the sorted list: True only if it is found there."""
+    i = bisect_left(splines, x)
+    return i < len(splines) and splines[i] == x
+
+
 def span_equals(
     generators: Sequence[tuple[int, ...]],
     splines: Collection[tuple[int, ...]],
@@ -272,28 +288,38 @@ def span_equals(
 ) -> bool:
     """True iff the Z-span mod m of the generators is exactly the given set.
 
-    ``splines`` may be a list or a set; a set is used as it stands and left
-    unchanged.  The span is built by `_cosets`, as the disjoint cosets of
-    its closure under addition, but not kept: a copy of the set loses each
-    coset as it is built.  One that removes fewer elements than it has
-    holds an element outside the set, and the answer is False there,
-    before the rest of the span is built.  BudgetExceeded is raised if the
-    span passes the budget before the answer is settled: given the whole
-    span as the set and a budget of at least 1, exactly when the span has
-    more than ``budget`` elements.
+    ``splines`` is a list in strict lexicographic order, as
+    `enumerate_splines` returns it, or a set, which is sorted first and
+    left unchanged.  The span is built by `_cosets`, as the disjoint cosets
+    of its closure under addition, but not kept: the one hash set built
+    over the splines loses each coset as it is built.  One that removes
+    fewer elements than it has holds an element outside the set, and the
+    answer is False there, before the rest of the span is built.
+    BudgetExceeded is raised if the span passes the budget before the
+    answer is settled: given the whole span as the set and a budget of at
+    least 1, exactly when the span has more than ``budget`` elements.
+
+    Whether a generator or a multiple is already in the closure is asked
+    of the set and then, for a vector it no longer holds, of the list by
+    bisection: one probe per generator and per coset.  A probe finds only
+    what the list holds, so an unsorted or incomplete list can only make a
+    built element read as new; the coset it starts removes nothing new and
+    the answer is False.  It is never True for a set the generators do not
+    span.
     """
     cap = resolve_budget(budget)
-    members = splines if isinstance(splines, AbstractSet) else set(splines)
-    zero = (0,) * len(next(iter(members), ()))
-    if zero not in members:
+    if isinstance(splines, AbstractSet):
+        splines = sorted(splines)
+    zero = (0,) * len(next(iter(splines), ()))
+    if not _holds(splines, zero):
         return False
-    remaining = set(members)
+    remaining = set(splines)
     remaining.discard(zero)
 
     def built(x: tuple[int, ...]) -> bool:
         # while every element built is a member, the closure is exactly
-        # members - remaining
-        return x in members and x not in remaining
+        # the members less remaining
+        return x not in remaining and _holds(splines, x)
 
     for coset in _cosets(generators, m, len(zero), cap, built):
         left = len(remaining)

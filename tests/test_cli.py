@@ -42,6 +42,17 @@ edge v2 v3 12
 """
 
 
+DESK30_TEXT = """\
+mod 30
+vertices a b c d
+edge a b 6
+edge b c 10
+edge c d 15
+edge d a 4
+edge a c 9
+"""
+
+
 GRAPHS = pathlib.Path(__file__).parent / "graphs"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -131,6 +142,34 @@ class TestSolve:
         oracle = report["oracle"]
         assert oracle["factors_match"] and oracle["mgs_spans"]
         assert oracle["spline_count"] == 216
+
+    @pytest.mark.parametrize("flag", ["--crt", "--direct"])
+    @pytest.mark.parametrize("text", [TRI36_TEXT, DESK30_TEXT], ids=["tri36", "desk30"])
+    def test_verify_each_path(self, capsys, tmp_path, flag, text):
+        # with --crt the oracle checks the CRT-glued generating set
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        report = run_json(capsys, ["solve", str(path), flag, "--verify"])
+        oracle = report["oracle"]
+        assert oracle["spline_count"] == report["order"]
+        assert oracle["factors_match"] and oracle["mgs_spans"]
+
+    def test_verify_rejects_a_glued_set_that_does_not_span(self, capsys, tri36, monkeypatch):
+        # p * g for a prime p dividing g's order has a smaller order, so the
+        # set no longer spans, while the stated factors stay right
+        original = cli.decompose
+
+        def shrunk(G):
+            dec = original(G)
+            module = dec.recombined
+            g, order = module.mgs[-1], module.invariant_factors[-1]
+            p = min(q for q in range(2, order + 1) if order % q == 0)
+            mgs = module.mgs[:-1] + (tuple(p * x % G.modulus for x in g),)
+            return dataclasses.replace(dec, recombined=dataclasses.replace(module, mgs=mgs))
+
+        monkeypatch.setattr(cli, "decompose", shrunk)
+        err = mismatch(capsys, ["solve", tri36, "--crt", "--verify"], "oracle disagrees")
+        assert "'factors_match': True, 'mgs_spans': False" in err
 
     def test_verify_budget_exit(self, capsys, c21):
         assert cli.main(["solve", c21, "--verify"]) == 3
@@ -300,12 +339,32 @@ class TestSolve:
         assert report["oracle"]["factors_match"] and report["oracle"]["mgs_spans"]
 
     @pytest.mark.slow
-    def test_verify_at_the_default_budget(self, capsys, monkeypatch):
-        # m**n = 10**7, the default budget; 2-3 s and a 186 MB peak RSS as
-        # its own process on a shared 2-vCPU machine
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+    def test_verify_at_the_default_budget(self, monkeypatch):
+        # m**n = 10**7, the default budget.  Its own process, which reports
+        # its peak RSS: about 116 MB with one set over the 625,000 splines
+        # (136 MB with a second one) on a shared 2-vCPU machine; 1-3 s.
         monkeypatch.delenv("SPLINEMOD_BUDGET", raising=False)
-        report = run_json(capsys, ["solve", str(GRAPHS / "n7_m10.graph"), "--verify"])
+        script = (
+            "import contextlib, io, json, resource, sys\n"
+            "from splinemod import cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(json.dumps({'code': code, 'report': json.loads(out.getvalue()), 'peak_kb': peak}))\n"
+        )
+        argv = ["solve", str(GRAPHS / "n7_m10.graph"), "--verify", "--json"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        report = result["report"]
+        assert result["code"] == 0
         assert report["oracle"]["spline_count"] == report["order"] == 625_000
+        assert report["oracle"]["factors_match"] and report["oracle"]["mgs_spans"]
+        assert result["peak_kb"] < 128 * 1024
 
     @pytest.mark.slow
     def test_direct_path_at_n350(self, capsys):

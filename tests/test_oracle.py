@@ -1,3 +1,5 @@
+import builtins
+import pathlib
 import random
 import sys
 from collections import Counter
@@ -6,11 +8,15 @@ from math import gcd, lcm
 
 import pytest
 
+from splinemod import cli, oracle
 from splinemod.arith import additive_order
+from splinemod.engine import invariant_factors
 from splinemod.errors import BudgetExceeded, NotAGroup
 from splinemod.graph import EdgeLabeledGraph
 from splinemod.oracle import enumerate_splines, fingerprint, span_equals
 from support import naive_span, reference_spline_check
+
+GRAPHS = pathlib.Path(__file__).parent / "graphs"
 
 Z6_PATH = EdgeLabeledGraph(6, ("v1", "v2", "v3"), ((0, 1, 2), (0, 2, 3)))
 C3_MOD30 = EdgeLabeledGraph(30, ("v1", "v2", "v3"), ((0, 1, 6), (1, 2, 15), (2, 0, 10)))
@@ -235,10 +241,15 @@ class TestAgainstNaiveReferences:
             ]
             gens = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
             gens += gens[: rng.randint(0, len(gens))]  # repeats
-            expected = naive_span(gens, m, n)
-            assert span_equals(gens, expected, m), (G, gens)
-            assert span_equals(gens, splines, m) == (expected == set(splines))
-            assert span_equals(gens, set(splines), m) == (expected == set(splines))
+            mgs = list(invariant_factors(G).mgs)  # a set that spans
+            for gs in (gens, mgs):
+                expected = naive_span(gs, m, n)
+                truth = expected == set(splines)
+                assert span_equals(gs, expected, m), (G, gs)
+                assert span_equals(gs, sorted(expected), m), (G, gs)
+                assert span_equals(gs, splines, m) == truth, (G, gs)
+                assert span_equals(gs, set(splines), m) == truth, (G, gs)
+            assert truth, G
 
     def test_census_matches_naive_orders(self):
         rng = random.Random(15)
@@ -257,6 +268,58 @@ class TestAgainstNaiveReferences:
         assert fp.order_census == ((1, 1),)
         assert fp.invariant_factors == ()
         assert span_equals([(), ()], {()}, 5)
+
+    def test_a_list_out_of_order_or_short_never_accepts(self):
+        # a probe reads "present" only where it finds the vector, so a
+        # shuffled or incomplete list can make an answer False, or the
+        # census raise NotAGroup, but never accept a set that is not the span
+        rng = random.Random(17)
+        refused = 0
+        for _ in range(100):
+            G = random_desk_graph(rng, 5 * 10**3)
+            m, n = G.modulus, G.n
+            splines = enumerate_splines(G)
+            mgs = list(invariant_factors(G).mgs)
+            shuffled = rng.sample(splines, len(splines))
+            short = list(splines)
+            del short[rng.randrange(len(short))]
+            for broken in (shuffled, short):
+                truth = naive_span(mgs, m, n) == set(broken)
+                if span_equals(mgs, broken, m):
+                    assert truth, (G, broken)
+                else:
+                    refused += truth
+                try:
+                    fingerprint(broken, m)
+                except NotAGroup:
+                    refused += broken is shuffled
+                else:
+                    assert naive_span(broken, m, n) == set(broken), (G, broken)
+        assert refused > 50
+
+    def test_one_hash_set_per_verify(self, capsys, tmp_path, monkeypatch):
+        # solve --verify and cycle --verify build one set over the splines;
+        # the census and the span check probe the sorted list
+        made = []
+
+        def counting(*args):
+            built = builtins.set(*args)
+            made.append(len(built))
+            return built
+
+        for module in (oracle, cli):
+            monkeypatch.setattr(module, "set", counting, raising=False)
+        cycle = tmp_path / "c4.graph"
+        cycle.write_text("mod 12\nvertices a b c d\nedge a b 4\nedge b c 3\nedge c d 4\nedge d a 3\n")
+        for argv, count in (
+            (["solve", str(GRAPHS / "n7_m9.graph"), "--verify"], 19683),
+            (["cycle", str(cycle), "--verify"], 144),
+        ):
+            made.clear()
+            assert cli.main(argv) == 0, capsys.readouterr()
+            assert made.count(count) == 1, (argv, made)
+            assert max(made) == count, (argv, made)
+        capsys.readouterr()
 
     def test_span_of_a_small_subgroup_of_a_large_modulus(self):
         # the shift tables cover the residues present, not all of Z/m

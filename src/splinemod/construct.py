@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import Factorization, factorize
-from .errors import InfeasibleParameters, InvalidModulus
+from .errors import SplineError
 from .graph import EdgeLabeledGraph
 
 
@@ -33,15 +33,15 @@ class ConstructionRecipe:
 
 def _factor_modulus(m: int) -> Factorization:
     if m < 1:
-        raise InvalidModulus(f"modulus {m} is not a positive integer")
+        raise SplineError(f"modulus {m} is not a positive integer")
     return factorize(m)
 
 
-def _coprime_split(m: int) -> tuple[int, int]:
-    """Deterministic coprime pair (n1, n2), n1*n2 = m, n1 the least prime power."""
-    fac = _factor_modulus(m)
+def _coprime_split(m: int, fac: Factorization) -> tuple[int, int]:
+    """Deterministic coprime pair (n1, n2), n1*n2 = m, n1 the least prime
+    power; ``fac`` is the factorization of m."""
     if len(fac.pairs) < 2:
-        raise InfeasibleParameters(
+        raise SplineError(
             f"modulus {m} is a prime power; a coprime split needs two distinct primes"
         )
     p, k = fac.pairs[0]
@@ -65,10 +65,10 @@ def build_rank_k(n: int, m: int, k: int) -> tuple[EdgeLabeledGraph, Construction
     rank-preserving steps label the edge to the newest neighbor n2.
     """
     if n < 2:
-        raise InfeasibleParameters(f"need at least 2 vertices, got {n}")
+        raise SplineError(f"need at least 2 vertices, got {n}")
     if not 2 <= k <= n:
-        raise InfeasibleParameters(f"rank {k} is outside 2..{n}")
-    n1, n2 = _coprime_split(m)
+        raise SplineError(f"rank {k} is outside 2..{n}")
+    n1, n2 = _coprime_split(m, _factor_modulus(m))
     names = _vertex_names(n)
     edges: list[tuple[int, int, int]] = [(0, 1, n1)]
     steps = [BuildStep(names[1], _named(names, edges), "base")]
@@ -113,17 +113,17 @@ def build_rank_1(n: int, m: int) -> tuple[EdgeLabeledGraph, ConstructionRecipe]:
     distinct = len(fac.pairs)
     if n == 3:
         if distinct < 3:
-            raise InfeasibleParameters(
+            raise SplineError(
                 f"a 3-vertex rank-1 graph needs three distinct primes in {m}"
             )
     elif n >= 4:
         if distinct < 2:
-            raise InfeasibleParameters(
+            raise SplineError(
                 f"modulus {m} is a prime power; rank 1 needs two distinct primes"
             )
     else:
-        raise InfeasibleParameters(f"rank 1 needs at least 3 vertices, got {n}")
-    n1, n2 = _coprime_split(m)
+        raise SplineError(f"rank 1 needs at least 3 vertices, got {n}")
+    n1, n2 = _coprime_split(m, fac)
     names = _vertex_names(n)
     base_n = 3 if n == 3 else 4
     if base_n == 3:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .arith import additive_order, factorize
-from .errors import HypothesisViolated, NotACycle, NotApplicable
+from .errors import InternalInconsistency, NotApplicable, SplineError
 from .graph import EdgeLabeledGraph, check_splines, components
 
 Vec = tuple[int, ...]
@@ -72,7 +72,7 @@ def cycle_instance(G: EdgeLabeledGraph) -> CycleInstance:
         adj[u].append((v, g))
         adj[v].append((u, g))
     if n < 3 or any(len(nb) != 2 for nb in adj) or not is_connected(G):
-        raise NotACycle(f"graph with {n} vertices and {len(G.edges)} edges is not an n-cycle")
+        raise SplineError(f"graph with {n} vertices and {len(G.edges)} edges is not an n-cycle")
     # Walk from v1 toward its lower-indexed neighbor (deterministic).
     order, labels = [0], []
     for p in range(n):
@@ -197,7 +197,7 @@ def coprime_order_classes(m: int, m1: int, m2: int) -> tuple[int, int]:
     (and symmetrically); lcm(m1, m2) = m guarantees no prime is claimed twice.
     """
     if lcm(m1, m2) != m:
-        raise HypothesisViolated(f"lcm({m1}, {m2}) != {m}")
+        raise InternalInconsistency(f"lcm({m1}, {m2}) != {m}")
     f2 = 1
     for p, k in factorize(m).pairs:
         if m1 % p**k:
@@ -221,18 +221,18 @@ def mgs_merge(B: GeneratingSet, m: int, factors: tuple[int, ...]) -> GeneratingS
     for i, fi in enumerate(factors):
         for fj in factors[i + 1 :]:
             if gcd(fi, fj) != 1:
-                raise HypothesisViolated(f"factors {factors} are not pairwise coprime")
+                raise InternalInconsistency(f"factors {factors} are not pairwise coprime")
     if not B.splines or B.splines[0] != (1,) * len(B.splines[0]):
-        raise HypothesisViolated("generating set must start with the trivial spline")
+        raise InternalInconsistency("generating set must start with the trivial spline")
     groups: dict[int, list[Vec]] = {f: [] for f in factors}
     for vec in B.splines[1:]:
         nonzero = {x for x in vec if x}
         if len(nonzero) != 1:
-            raise HypothesisViolated(f"{vec} is not a constant flow-up labeling")
+            raise InternalInconsistency(f"{vec} is not a constant flow-up labeling")
         order = additive_order(vec, m)
         home = [f for f in factors if f % order == 0]
         if not home:
-            raise HypothesisViolated(
+            raise InternalInconsistency(
                 f"order {order} of {vec} divides none of the factors {factors}"
             )
         groups[home[0]].append(vec)
@@ -256,11 +256,11 @@ def closed_form(C: CycleInstance) -> GeneratingSet | None:
 
     Tries the single-label form, then the power family, then the two-label
     form merged into a minimum set; a form that does not apply raises
-    NotApplicable, and None means none applies.  HypothesisViolated from
-    the merge is let through.  The set it returns is checked against every
-    edge condition of C's graph: a vector that fails one raises
-    InternalInconsistency, since that is a wrong construction, not a form
-    that does not apply.
+    NotApplicable, and None means none applies.  The set it returns is
+    checked against every edge condition of C's graph.  A vector that
+    fails one raises InternalInconsistency, and so does a broken contract
+    of the merge: each is a wrong construction, not a form that does not
+    apply, so no other form is tried.
     """
     forms = (
         lambda: single_label_mgs(C.graph),

@@ -20,7 +20,7 @@ from math import prod
 
 from .arith import crt_combine, factorize
 from .engine import IntVectors, SplineModule, _vertex_major, invariant_factors
-from .errors import InternalInconsistency, InvalidModulus, NonCoprimeModuli, NotADivisor
+from .errors import InternalInconsistency, NonCoprimeModuli, SplineError
 from .graph import EdgeLabeledGraph
 
 
@@ -40,7 +40,7 @@ class Decomposition:
 def reduce_graph(G: EdgeLabeledGraph, d: int) -> EdgeLabeledGraph:
     """Same graph with labels and modulus reduced mod a divisor d of m."""
     if d < 1 or (G.modulus and G.modulus % d != 0):
-        raise NotADivisor(f"{d} does not divide the modulus {G.modulus}")
+        raise SplineError(f"{d} does not divide the modulus {G.modulus}")
     return EdgeLabeledGraph(
         d, G.vertices, tuple((u, v, label % d) for u, v, label in G.edges)
     )
@@ -50,7 +50,7 @@ def decompose(G: EdgeLabeledGraph) -> Decomposition:
     """Solve one component per prime power of m and recombine."""
     m = G.modulus
     if m < 2:
-        raise InvalidModulus(f"decomposition needs modulus >= 2, got {m}")
+        raise SplineError(f"decomposition needs modulus >= 2, got {m}")
     components = []
     for q in factorize(m).prime_powers():
         reduced = reduce_graph(G, q)

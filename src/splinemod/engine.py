@@ -52,7 +52,7 @@ from heapq import heappop, heappush
 from itertools import chain, combinations
 from math import gcd, lcm, prod
 
-from .errors import InternalInconsistency, InvalidModulus, NotAnExtension
+from .errors import InternalInconsistency, SplineError
 from .graph import EdgeLabeledGraph, NormalizationReport, check_splines, normalize
 from .matrix import IntMatrix, hnf, snf, triangular_hnf
 
@@ -286,7 +286,7 @@ def normalized_module(
     """
     m = G.modulus
     if m == 0:
-        raise InvalidModulus(
+        raise SplineError(
             "invariant factors are only defined for a finite modulus"
         )
     if not gnorm.edges:
@@ -366,7 +366,7 @@ def extension_analysis(
     """
     vi = G_plus.vertex_index(new_vertex)
     if not _restriction_matches(G, G_plus, vi):
-        raise NotAnExtension(
+        raise SplineError(
             f"removing {new_vertex!r} from the extension does not give the base graph"
         )
     m = G.modulus

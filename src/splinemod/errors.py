@@ -1,14 +1,23 @@
-"""Exception hierarchy for splinemod.
+"""Exception classes for splinemod: one per outcome a caller tells apart.
 
-Everything raised on purpose derives from SplineError so callers (and the
-CLI) can distinguish bad input from genuine bugs.  InternalInconsistency is
-the exception: it signals that a cross-check inside the library failed, which
-is a defect, not a user error.
+Everything raised on purpose derives from SplineError, and the CLI maps
+each class to its exit code:
+
+- SplineError and ParseError: bad input, exit 2.  Every input check raises
+  one of these with a message; none is caught by a finer class.
+- NonCoprimeModuli: bad input to ``crt_combine``, which ``recombine``
+  catches and reports as a defect.
+- NotApplicable: a closed form's hypotheses fail; ``closed_form`` catches
+  it and tries the next form.
+- BudgetExceeded: the enumeration budget is too small, exit 3.
+- InternalInconsistency: the program broke, exit 4.  A cross-check that
+  disagrees, an order census that is not a group's and a broken internal
+  contract all raise it.
 """
 
 
 class SplineError(Exception):
-    """Base class for all errors raised by splinemod."""
+    """Base class for all errors raised by splinemod; bad input."""
 
 
 class ParseError(SplineError):
@@ -21,49 +30,12 @@ class ParseError(SplineError):
         super().__init__(message)
 
 
-class InvalidModulus(SplineError):
-    pass
-
-
-class UnknownVertex(SplineError):
-    pass
-
-
-class SelfLoop(SplineError):
-    pass
-
-
-class LengthMismatch(SplineError):
-    pass
-
-
 class NonCoprimeModuli(SplineError):
-    pass
-
-
-class NotADivisor(SplineError):
-    pass
-
-
-class NotAnExtension(SplineError):
     pass
 
 
 class NotApplicable(SplineError):
     """A closed form's hypotheses fail; another form or the lattice answers."""
-
-
-class NotACycle(SplineError):
-    pass
-
-
-class HypothesisViolated(SplineError):
-    """The arguments break the contract of ``mgs_merge`` or
-    ``coprime_order_classes``; unlike NotApplicable, no other form is tried."""
-
-
-class InfeasibleParameters(SplineError):
-    pass
 
 
 class BudgetExceeded(SplineError):
@@ -85,9 +57,6 @@ class BudgetExceeded(SplineError):
         )
 
 
-class NotAGroup(SplineError):
-    pass
-
-
 class InternalInconsistency(SplineError):
-    """Two independent computations of the same quantity disagreed (a bug)."""
+    """The program broke: two independent computations of the same
+    quantity disagreed, or an internal contract was not kept."""

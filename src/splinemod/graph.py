@@ -17,14 +17,7 @@ from itertools import compress, count
 from math import gcd, lcm
 from operator import sub
 
-from .errors import (
-    InternalInconsistency,
-    InvalidModulus,
-    LengthMismatch,
-    ParseError,
-    SelfLoop,
-    UnknownVertex,
-)
+from .errors import InternalInconsistency, ParseError, SplineError
 
 Edge = tuple[int, int, int]  # (u index, v index, label)
 
@@ -50,9 +43,9 @@ class EdgeLabeledGraph:
     def __post_init__(self):
         m = self.modulus
         if m < 0:
-            raise InvalidModulus(f"modulus {m} is negative")
+            raise SplineError(f"modulus {m} is negative")
         if not self.vertices:
-            raise InvalidModulus("graph needs at least one vertex")
+            raise SplineError("graph needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise ParseError("duplicate vertex names")
         n = len(self.vertices)
@@ -60,9 +53,9 @@ class EdgeLabeledGraph:
         conditions = []
         for u, v, label in self.edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise UnknownVertex(f"edge ({u}, {v}) references a missing vertex")
+                raise SplineError(f"edge ({u}, {v}) references a missing vertex")
             if u == v:
-                raise SelfLoop(f"self-loop at vertex {self.vertices[u]}")
+                raise SplineError(f"self-loop at vertex {self.vertices[u]}")
             label = label % m if m else abs(label)
             canon.append((u, v, label))
             conditions.append((u, v, gcd(label, m)))
@@ -77,7 +70,7 @@ class EdgeLabeledGraph:
         try:
             return self.vertices.index(name)
         except ValueError:
-            raise UnknownVertex(f"unknown vertex {name!r}") from None
+            raise SplineError(f"unknown vertex {name!r}") from None
 
     def incident(self, v: int) -> list[Edge]:
         """The ``conditions`` of the edges at vertex v."""
@@ -86,7 +79,7 @@ class EdgeLabeledGraph:
     def with_vertex_order(self, order: list[str]) -> "EdgeLabeledGraph":
         """Same graph with vertices permuted into the given order."""
         if sorted(order) != sorted(self.vertices):
-            raise UnknownVertex(
+            raise SplineError(
                 f"order {order} is not a permutation of {list(self.vertices)}"
             )
         old_to_new = {self.vertex_index(name): i for i, name in enumerate(order)}
@@ -165,7 +158,7 @@ def parse_graph(text: str) -> EdgeLabeledGraph:
                 raise ParseError("expected: mod <m>", lineno)
             modulus = _text_int(parts[1], "modulus", lineno)
             if modulus < 0:
-                raise InvalidModulus(f"line {lineno}: modulus {modulus} is negative")
+                raise SplineError(f"line {lineno}: modulus {modulus} is negative")
         elif parts[0] == "vertices":
             if vertices is not None:
                 raise ParseError("duplicate vertices line", lineno)
@@ -196,7 +189,7 @@ def _by_name(
     for u, v, label in edges:
         for name in (u, v):
             if name not in index:
-                raise UnknownVertex(f"edge references undeclared vertex {name!r}")
+                raise SplineError(f"edge references undeclared vertex {name!r}")
         resolved.append((index[u], index[v], label))
     return EdgeLabeledGraph(modulus, tuple(vertices), tuple(resolved))
 
@@ -280,7 +273,7 @@ def first_failing(G: EdgeLabeledGraph, rows) -> int | None:
     vector is missed.
     """
     if len(rows) != G.n:
-        raise LengthMismatch(f"expected {G.n} values, got {len(rows)}")
+        raise SplineError(f"expected {G.n} values, got {len(rows)}")
     width = first = len(rows[0])
     for u, v, g in G.conditions:
         a, b = rows[u], rows[v]

@@ -25,8 +25,12 @@ membership probes (the zero vector, the closure spot checks, one per
 generator and one per coset) by bisecting that list.  A probe says
 "present" only when it finds the vector itself, so a list that is unsorted
 or incomplete can only make a probe read "absent": `span_equals` then
-answers False and `fingerprint` raises NotAGroup.  Neither accepts a wrong
-answer.
+answers False and `fingerprint` raises InternalInconsistency.  Neither
+accepts a wrong answer.
+
+The splines come from the program, not the user, so a census that is not a
+group's is a defect: InternalInconsistency, which the CLI reports as a
+cross-check mismatch (exit 4).
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ import os
 import random
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Collection, Iterator, Sequence, Set as AbstractSet
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, starmap
 from math import gcd, lcm, prod
 
 from .arith import factorize
-from .errors import BudgetExceeded, NotAGroup, SplineError
+from .errors import BudgetExceeded, InternalInconsistency, SplineError
 from .graph import EdgeLabeledGraph
 
 DEFAULT_BUDGET = 10**7
@@ -144,24 +148,25 @@ def fingerprint(splines: Sequence[tuple[int, ...]], m: int) -> ModuleFingerprint
 
     ``splines`` is a list of residue vectors in strict lexicographic order,
     as `enumerate_splines` returns it.  The set must be closed under
-    addition mod m; closure is spot-checked on 64 random pairs (NotAGroup
-    on failure), never assumed silently.  The zero vector is present
-    exactly when it comes first, and each sum is looked up by bisection, so
-    a list out of order or with an element missing can only raise
-    NotAGroup, never pass a check it should fail.
+    addition mod m; closure is spot-checked on 64 random pairs, never
+    assumed silently.  A set that fails a check raises
+    InternalInconsistency.  The zero vector is present exactly when it
+    comes first, and each sum is looked up by bisection, so a list out of
+    order or with an element missing can only raise, never pass a check it
+    should fail.
     """
     if not splines:
-        raise NotAGroup("empty set cannot be a module")
+        raise InternalInconsistency("empty set cannot be a module")
     n = len(splines[0])
     if splines[0] != (0,) * n:
-        raise NotAGroup("zero vector missing")
+        raise InternalInconsistency("zero vector missing")
     rng = random.Random(0xC0FFEE)
     for _ in range(min(64, len(splines) ** 2)):
         a = rng.choice(splines)
         b = rng.choice(splines)
         s = tuple((x + y) % m for x, y in zip(a, b))
         if not _holds(splines, s):
-            raise NotAGroup(f"{a} + {b} leaves the set")
+            raise InternalInconsistency(f"{a} + {b} leaves the set")
 
     # The additive order of v is m / gcd(m, v_1, ..., v_n); for n = 0 the
     # gcd of no entries is 0 and the order is 1.
@@ -171,7 +176,7 @@ def fingerprint(splines: Sequence[tuple[int, ...]], m: int) -> ModuleFingerprint
     factors = _factors_from_census(census, m)
     total = len(splines)
     if prod(factors) != total:
-        raise NotAGroup(
+        raise InternalInconsistency(
             f"census of {total} elements is not consistent with a module"
         )
     return ModuleFingerprint(total, tuple(sorted(census.items())), factors)
@@ -198,7 +203,7 @@ def _factors_from_census(census: dict[int, int], m: int) -> tuple[int, ...]:
             while p**lg < cnt:
                 lg += 1
             if p**lg != cnt:
-                raise NotAGroup(f"element count {cnt} is not a power of {p}")
+                raise InternalInconsistency(f"element count {cnt} is not a power of {p}")
             logs.append(lg)
         counts_ge = [logs[j] - logs[j - 1] for j in range(1, a + 1)]
         # counts_ge[j-1] = number of summands with valuation >= j
@@ -224,17 +229,29 @@ class _Shift(dict):
         return b
 
 
-def _cosets(
-    generators: Sequence[tuple[int, ...]],
-    m: int,
-    n: int,
-    cap: int,
-    built: Callable[[tuple[int, ...]], bool],
-) -> Iterator[list[list[int]]]:
-    """Yield each new coset of the closure of the generators as n columns.
+def _holds(splines: Sequence[tuple[int, ...]], x: tuple[int, ...]) -> bool:
+    """Whether x is in the sorted list: True only if it is found there."""
+    i = bisect_left(splines, x)
+    return i < len(splines) and splines[i] == x
 
-    ``built(x)`` says whether x is in the closure so far: zero and every
-    coset yielded before.  The caller records each coset it is given.
+
+def span_equals(
+    generators: Sequence[tuple[int, ...]],
+    splines: Sequence[tuple[int, ...]],
+    m: int,
+    budget: int | None = None,
+) -> bool:
+    """True iff the Z-span mod m of the generators is exactly the splines.
+
+    ``splines`` is a list in strict lexicographic order, as
+    `enumerate_splines` returns it.  The span is built but not kept: the
+    one hash set built over the splines loses each coset of it as the
+    coset is built.  One that removes fewer elements than it has holds an
+    element outside the list, and the answer is False there, before the
+    rest of the span is built.  BudgetExceeded is raised if the span would
+    pass ``budget`` elements before the answer is settled, before the coset
+    that passes it is built: given the whole span as the list and a budget
+    of at least 1, exactly when the span has more than ``budget`` elements.
 
     The closure under addition mod m is grown one generator g at a time.
     If S is the closure so far and k the least k > 0 with k*g in S, the
@@ -242,16 +259,34 @@ def _cosets(
     S + (k-1)*g; each coset is the previous one shifted by g.  So every
     element is built exactly once, by one vector addition, where a
     breadth-first search builds it once per generator.  It stays brute
-    force: it uses only addition and membership.  BudgetExceeded is raised
-    exactly when the closure would pass ``cap`` elements, before the coset
-    that passes it is built.
+    force: it uses only addition and membership.
 
     A coset is held as n columns.  Column i is shifted through a table
     a -> (a + g_i) mod m, one per generator and column, filled as residues
     are met, so it never outgrows its column however large m is; a column
     with g_i = 0 is kept as it is.  The rows of the columns are the elements.
+
+    Whether a generator or a multiple is already in the closure is asked
+    of the set and then, for a vector it no longer holds, of the list by
+    bisection: one probe per generator and per coset.  A probe finds only
+    what the list holds, so an unsorted or incomplete list can only make a
+    built element read as new; the coset it starts removes nothing new and
+    the answer is False.  It is never True for a list the generators do
+    not span.
     """
-    parts = [[[0]] * n]  # the closure so far, as the columns of its cosets
+    cap = resolve_budget(budget)
+    zero = (0,) * len(splines[0]) if splines else ()
+    if not _holds(splines, zero):
+        return False
+    remaining = set(splines)
+    remaining.discard(zero)
+
+    def built(x: tuple[int, ...]) -> bool:
+        # while every element built is a member, the closure is exactly
+        # the members less remaining
+        return x not in remaining and _holds(splines, x)
+
+    parts = [[[0]] * len(zero)]  # the closure so far, as the columns of its cosets
     size = 1
     for g in generators:
         g = tuple(x % m for x in g)
@@ -268,62 +303,11 @@ def _cosets(
                 list(map(shift, col)) if shift else col
                 for shift, col in zip(shifts, coset)
             ]
-            yield coset
+            left = len(remaining)
+            remaining.difference_update(zip(*coset))
+            if left - len(remaining) < base:
+                return False
             parts.append(coset)
             size += base
             multiple = tuple((a + x) % m for a, x in zip(multiple, g))
-
-
-def _holds(splines: Sequence[tuple[int, ...]], x: tuple[int, ...]) -> bool:
-    """Whether x is in the sorted list: True only if it is found there."""
-    i = bisect_left(splines, x)
-    return i < len(splines) and splines[i] == x
-
-
-def span_equals(
-    generators: Sequence[tuple[int, ...]],
-    splines: Collection[tuple[int, ...]],
-    m: int,
-    budget: int | None = None,
-) -> bool:
-    """True iff the Z-span mod m of the generators is exactly the given set.
-
-    ``splines`` is a list in strict lexicographic order, as
-    `enumerate_splines` returns it, or a set, which is sorted first and
-    left unchanged.  The span is built by `_cosets`, as the disjoint cosets
-    of its closure under addition, but not kept: the one hash set built
-    over the splines loses each coset as it is built.  One that removes
-    fewer elements than it has holds an element outside the set, and the
-    answer is False there, before the rest of the span is built.
-    BudgetExceeded is raised if the span passes the budget before the
-    answer is settled: given the whole span as the set and a budget of at
-    least 1, exactly when the span has more than ``budget`` elements.
-
-    Whether a generator or a multiple is already in the closure is asked
-    of the set and then, for a vector it no longer holds, of the list by
-    bisection: one probe per generator and per coset.  A probe finds only
-    what the list holds, so an unsorted or incomplete list can only make a
-    built element read as new; the coset it starts removes nothing new and
-    the answer is False.  It is never True for a set the generators do not
-    span.
-    """
-    cap = resolve_budget(budget)
-    if isinstance(splines, AbstractSet):
-        splines = sorted(splines)
-    zero = (0,) * len(next(iter(splines), ()))
-    if not _holds(splines, zero):
-        return False
-    remaining = set(splines)
-    remaining.discard(zero)
-
-    def built(x: tuple[int, ...]) -> bool:
-        # while every element built is a member, the closure is exactly
-        # the members less remaining
-        return x not in remaining and _holds(splines, x)
-
-    for coset in _cosets(generators, m, len(zero), cap, built):
-        left = len(remaining)
-        remaining.difference_update(zip(*coset))
-        if left - len(remaining) < len(coset[0]):
-            return False
     return not remaining

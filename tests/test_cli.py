@@ -533,6 +533,16 @@ class TestSolve:
         err = mismatch(capsys, ["solve", tri36, "--verify"], "oracle disagrees")
         assert "'factors_match': True, 'mgs_spans': False" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_spline_list_short_of_a_group_exit_4(self, capsys, monkeypatch, flags):
+        # the census of a list the program made is not a group's: a defect,
+        # not bad input
+        original = cli.enumerate_splines
+        monkeypatch.setattr(cli, "enumerate_splines", lambda *args: original(*args)[:-1])
+        argv = ["solve", "--verify", str(GRAPHS / "n7_m9.graph"), *flags]
+        err = mismatch(capsys, argv, "is not a power of 3")
+        assert err == "cross-check mismatch: element count 19682 is not a power of 3\n"
+
     @pytest.mark.parametrize("command", ["solve", "cycle"])
     def test_negative_budget_flag_is_input_error(self, capsys, c21, command):
         assert cli.main([command, c21, "--verify", "--budget", "-5"]) == 2
@@ -695,6 +705,17 @@ class TestCycle:
         path.write_text(SINGLE_LABEL_TEXT)
         monkeypatch.setattr(cli, "span_equals", lambda *args: False)
         mismatch(capsys, ["cycle", str(path), "--verify"], "does not span the module")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_broken_merge_contract_exit_4(self, capsys, tmp_path, monkeypatch, flags):
+        # the merge's own contract check, reached by handing it factors that
+        # are not coprime: a defect, not bad input
+        original = cycles.mgs_merge
+        monkeypatch.setattr(cycles, "mgs_merge", lambda B, m, factors: original(B, m, (m, m)))
+        path = tmp_path / "c4.graph"
+        path.write_text("mod 12\nvertices a b c d\nedge a b 4\nedge b c 3\nedge c d 4\nedge d a 3\n")
+        err = mismatch(capsys, ["cycle", str(path), *flags], "not pairwise coprime")
+        assert err == "cross-check mismatch: factors (12, 12) are not pairwise coprime\n"
 
     def test_not_a_cycle(self, capsys, tmp_path):
         path = tmp_path / "path.graph"

@@ -4,7 +4,7 @@ import pytest
 
 from splinemod.construct import build_rank_1, build_rank_k
 from splinemod.engine import invariant_factors
-from splinemod.errors import InfeasibleParameters
+from splinemod.errors import SplineError
 from splinemod.graph import EdgeLabeledGraph, first_failing
 from splinemod.oracle import enumerate_splines, span_equals
 
@@ -53,13 +53,13 @@ class TestBuildRankK:
         assert span_equals(expected, splines, 6)
 
     def test_prime_power_rejected(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SplineError, match="is a prime power"):
             build_rank_k(3, 8, 2)
 
     def test_rank_out_of_range(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SplineError, match="rank 4 is outside"):
             build_rank_k(3, 6, 4)
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SplineError, match="rank 1 is outside"):
             build_rank_k(3, 6, 1)
 
 
@@ -93,15 +93,15 @@ class TestBuildRank1:
         assert invariant_factors(G).rank == 1
 
     def test_two_primes_three_vertices_rejected(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SplineError, match="three distinct primes"):
             build_rank_1(3, 6)
 
     def test_prime_power_rejected(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SplineError, match="rank 1 needs two distinct primes"):
             build_rank_1(4, 4)
 
     def test_too_few_vertices(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SplineError, match="rank 1 needs at least 3 vertices"):
             build_rank_1(2, 30)
 
 

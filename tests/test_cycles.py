@@ -14,7 +14,7 @@ from splinemod.cycles import (
     two_label_cycle_gens,
 )
 from splinemod.engine import invariant_factors
-from splinemod.errors import HypothesisViolated, NotACycle, NotApplicable
+from splinemod.errors import InternalInconsistency, NotApplicable, SplineError
 from splinemod.graph import EdgeLabeledGraph
 from splinemod.oracle import enumerate_splines, span_equals
 from support import random_cycle, reference_spline_check
@@ -52,9 +52,9 @@ class TestCycleInstance:
         assert sorted(inst.labels) == [2, 2, 5, 5]
 
     def test_not_a_cycle(self):
-        with pytest.raises(NotACycle):
+        with pytest.raises(SplineError, match="is not an n-cycle"):
             cycle_instance(EdgeLabeledGraph(6, ("a", "b", "c"), ((0, 1, 2), (1, 2, 2))))
-        with pytest.raises(NotACycle):
+        with pytest.raises(SplineError, match="is not an n-cycle"):
             cycle_instance(
                 EdgeLabeledGraph(
                     6,
@@ -68,7 +68,7 @@ class TestCycleInstance:
         G = EdgeLabeledGraph(
             6, tuple("abcd"), ((0, 1, 2), (0, 1, 3), (2, 3, 2), (2, 3, 3))
         )
-        with pytest.raises(NotACycle):
+        with pytest.raises(SplineError, match="is not an n-cycle"):
             cycle_instance(G)
 
     def test_two_triangles_rejected(self):
@@ -80,7 +80,7 @@ class TestCycleInstance:
                 (3, 4, 2), (4, 5, 2), (5, 3, 2),
             ),
         )
-        with pytest.raises(NotACycle):
+        with pytest.raises(SplineError, match="is not an n-cycle"):
             cycle_instance(G)
 
 
@@ -249,7 +249,7 @@ class TestCoprimeOrderClasses:
         assert any(f % 3 == 0 for f in (f1, f2))
 
     def test_bad_pair(self):
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(InternalInconsistency):
             coprime_order_classes(12, 2, 3)
 
 
@@ -289,14 +289,14 @@ class TestMgsMerge:
         from splinemod.cycles import GeneratingSet
 
         bad = GeneratingSet(((1, 1, 1), (0, 2, 3)), False, "test")
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(InternalInconsistency):
             mgs_merge(bad, 6, (2, 3))
 
     def test_rejects_orders_outside_factors(self):
         from splinemod.cycles import GeneratingSet
 
         bad = GeneratingSet(((1, 1, 1), (0, 2, 2)), False, "test")  # order 3
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(InternalInconsistency):
             mgs_merge(bad, 6, (2,))
 
 
@@ -323,13 +323,13 @@ class TestClosedForm:
         assert closed_form(cycle_instance(G)) is None
 
     def test_broken_merge_contract_is_not_a_fallback(self, monkeypatch):
-        # HypothesisViolated is a broken contract, not a form that does not
-        # apply: closed_form lets it through instead of answering None
+        # a broken contract is a defect, not a form that does not apply:
+        # closed_form lets it through instead of answering None
         def broken(B, m, factors):
-            raise HypothesisViolated("factors are not pairwise coprime")
+            raise InternalInconsistency("factors are not pairwise coprime")
 
         monkeypatch.setattr(cycles, "mgs_merge", broken)
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(InternalInconsistency):
             closed_form(cycle_instance(C21))
 
 

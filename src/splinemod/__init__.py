@@ -38,7 +38,7 @@ from .graph import (
     parse_graph,
     parse_graph_json,
 )
-from .matrix import IntMatrix, hnf, snf
+from .matrix import IntMatrix, snf
 from .oracle import ModuleFingerprint, enumerate_splines, fingerprint, span_equals
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "factorize",
     "fingerprint",
     "first_failing",
-    "hnf",
     "integer_lattice",
     "invariant_factors",
     "is_prime",

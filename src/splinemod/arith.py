@@ -204,6 +204,29 @@ def factorize(m: int) -> Factorization:
     return Factorization(tuple(pairs))
 
 
+def coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1, ascending, such that every one of the
+    positive ``values`` is a product of powers of them.  Gcds only, no
+    factoring: a value that shares a factor g with a base element b replaces
+    b by g and b/g, and goes on as value/g.  Each split lowers the product
+    of the pending values and the base by g > 1, so refinement ends."""
+    base: list[int] = []
+    pending = list(values)
+    while pending:
+        x = pending.pop()
+        if x == 1:
+            continue
+        for k, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[k]
+                pending += (g, b // g, x // g)
+                break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
 def crt_combine(residues: list[tuple[int, int]]) -> int:
     """Combine (value, modulus) pairs with pairwise coprime moduli.
 

@@ -2,14 +2,15 @@
 
 ``build_parser`` declares each subcommand once, with its arguments, its
 report builder and its printer.  Exit codes are part of the contract:
-0 success, 2 input error, 3 enumeration budget exceeded, 4 internal
-cross-check mismatch.
+0 success, 2 input error or a report that cannot be written, 3
+enumeration budget exceeded, 4 internal cross-check mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from itertools import chain
@@ -540,6 +541,15 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write("\n")
         else:
             args.show(report, sys.stdout)
+        sys.stdout.flush()  # a small report would otherwise fail at exit
+    except OSError as exc:  # a closed pipe or a full disk
+        # the interpreter flushes stdout again at exit; what is left of the
+        # report goes to the null device, so that flush cannot fail too
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     finally:
         sys.set_int_max_str_digits(limit)
     return 0

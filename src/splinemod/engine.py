@@ -5,37 +5,33 @@ The mod-m spline module is the image of the lattice
     L = { f in Z^n : g_e = gcd(label, m) divides f_u - f_v on every edge uv }
 
 under reduction mod m, and L always contains m*Z^n, so the module is the
-finite quotient L / m*Z^n.  Everything follows from normal forms:
+finite quotient L / m*Z^n.  Everything follows from two normal forms:
 
-* a triangular (flow-up) basis B of L, built from the dual lattice.
-  Because m*Z^n lies in L, the dual L^* lies between Z^n and (1/m)*Z^n,
-  so m*L^* is the integer lattice spanned by the columns (m/g_e)(e_u - e_v)
-  together with m*Z^n.  Its Hermite form H gives B = m*H^{-T} exactly,
-  lower triangular with the Hermite pivots already on its diagonal, so a
-  back-reduction (``triangular_hnf``) makes B canonical;
+* the triangular (flow-up) Hermite basis B of L, in closed form
+  (``integer_lattice``): split the modulus and the edge moduli into a
+  coprime base, and for each base element one Kruskal pass over the edges
+  gives every vertex its pivot and its anchor, an earlier vertex whose
+  value fixes its own up to that pivot (THEORY.md, lemma 1);
 * the Smith normal form of m*B^{-1} (an integer matrix), whose diagonal is
   the invariant-factor chain of the quotient and whose right transform hands
   back a minimum generating set.
 
-In integer mode (m = 0) L contains M*Z^n for M the lcm of the labels, and
-the same construction runs with M in place of m.  Z/mZ is not a domain, so
-the normal forms are taken over Z, but each lattice here contains c*Z^n
-(c = m or M) and the answer is read mod m.  So the reduction happens inside
-the normal forms: ``hnf`` keeps the entries below its current row in
-[0, c), and ``snf`` keeps its right transform mod m.  The Smith diagonal
-itself stays exact.
+In integer mode (m = 0) L contains c*Z^n for c the lcm of the labels, and
+B is the whole answer.  Z/mZ is not a domain, so the Smith form is taken
+over Z, but the answer is read mod m: ``snf`` keeps its right transform
+mod m, while the Smith diagonal itself stays exact.  Its product, times
+det B, must be m^{n'}, which compares the anchors with ``snf``.
 
-The matrices pass from the dual system (two nonzeros per column) to the
-Smith transform as sparse columns, ``IntMatrix.nonzeros``, with no dense
-copy, identity or transpose between kernels.  The printed vectors are
-reduced from those columns and written, nonzeros only, into one
-vertex-major block (one row per vertex), which is pulled back, checked and
-transposed once into dense tuples.  That one step, ``_vertex_major``, is
-also where the nonzeros are checked to be plain ints, so its result is an
-``IntVectors``: a tuple of vectors that the ``--json`` writer prints
-without checking each entry's type again.  Every vector set the solvers
-return (``mgs``, ``flow_up``, the integer lattice basis and the CRT glue's
-generators) is one.
+The matrices pass from the flow-up basis to the Smith transform as sparse
+columns, ``IntMatrix.nonzeros``, with no dense copy, identity or transpose
+between kernels.  The printed vectors are reduced from those columns and
+written, nonzeros only, into one vertex-major block (one row per vertex),
+which is pulled back, checked and transposed once into dense tuples.  That
+one step, ``_vertex_major``, is also where the nonzeros are checked to be
+plain ints, so its result is an ``IntVectors``: a tuple of vectors that
+the ``--json`` writer prints without checking each entry's type again.
+Every vector set the solvers return (``mgs``, ``flow_up``, the integer
+lattice basis and the CRT glue's generators) is one.
 
 A mod-m graph that normalizes to no edge skips the kernels.  Every label
 of it was a unit or zero mod m, as on each Z/p component of a CRT split,
@@ -52,9 +48,10 @@ from heapq import heappop, heappush
 from itertools import chain, combinations
 from math import gcd, lcm, prod
 
+from .arith import coprime_base
 from .errors import InternalInconsistency, SplineError
 from .graph import EdgeLabeledGraph, NormalizationReport, check_splines, normalize
-from .matrix import IntMatrix, hnf, snf, triangular_hnf
+from .matrix import IntMatrix, snf
 
 
 class IntVectors(tuple):
@@ -136,39 +133,75 @@ class ExtensionAnalysis:
 def integer_lattice(G: EdgeLabeledGraph) -> IntMatrix:
     """Flow-up basis of the integer spline lattice of a normalized graph.
 
-    Its columns span L; column j vanishes on the first j vertices of the
-    flow-up order and has a positive pivot at vertex j.
+    Its columns are the Hermite basis of L: column j vanishes on the first
+    j vertices of the flow-up order, has a positive pivot h_j at vertex j,
+    and its entry at every later vertex i lies in [0, h_i).
 
-    Built from the dual lattice.  With c = m (in integer mode, the lcm of
-    the labels) every g_e divides c, so c*Z^n lies in L and c*L^* lies in
-    Z^n: it is the integer lattice spanned by the columns (c/g_e)(e_u - e_v)
-    together with c*Z^n.  Its Hermite form H, taken with the vertex rows in
-    reverse so that H is upper triangular in vertex order, gives
-    L = c*H^{-T}: an exact, lower triangular basis (integral because L lies
-    in Z^n) whose diagonal holds the Hermite pivots, so the back-reduction
-    of ``triangular_hnf`` makes it canonical.  An edgeless graph has an
-    n x 0 dual system, whose Hermite form is c*I (c = 1, the lcm of no
-    labels, in integer mode), so its basis is the identity.
+    Built in closed form (THEORY.md, lemma 1).  Each edge modulus g_e is a
+    product of powers of the elements b of a coprime base of the modulus
+    and the g_e.  For each b, a Kruskal pass over the edges in decreasing
+    v_b(g_e), with least-vertex roots, joins two components at weight w:
+    the larger root k gets the factor b^w of its pivot and an anchor, the
+    smaller root.  Column j's entry at vertex i > j is the least residue
+    mod h_i that agrees with the entry at i's anchor mod each factor (CRT),
+    so only the anchor-descendants of j can be nonzero, and they alone are
+    visited, in increasing order.
     """
     n = G.n
-    last = n - 1
-    c = G.modulus or lcm(*(g for _, _, g in G.conditions))
-    if c == 0:
+    moduli = {g for _, _, g in G.conditions}
+    if 0 in moduli:  # an integer-mode label 0, which normalize merges
         raise InternalInconsistency(
             "spline lattice is not full rank; was the graph normalized?"
         )
-    dual = [{last - u: c // g, last - v: -(c // g)} for u, v, g in G.conditions]
-    # With the vertex rows in reverse the echelon form is lower triangular
-    # in reverse vertex order; reversing its rows and columns back gives H,
-    # upper triangular in vertex order, and its rows are the columns of
-    # lower = H^T: entry (i, k) of the echelon form is entry (n-1-k, n-1-i)
-    # of lower.
-    reverse = hnf(IntMatrix.sparse(n, dual), c)
-    lower: list[dict[int, int]] = [{} for _ in range(n)]
-    for k, col in enumerate(reverse.nonzeros):
-        for i, x in col.items():
-            lower[last - i][last - k] = x
-    return triangular_hnf(_scaled_inverse(IntMatrix.sparse(n, lower), c), c)
+    h = [1] * n  # the pivots
+    joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (anchor, b^beta)
+    # in integer mode c is the lcm of the g_e, a product of their base's powers
+    for b in coprime_base(moduli | {G.modulus or 1}):
+        weighted = []
+        for u, v, g in G.conditions:
+            w = 0
+            while g % b == 0:
+                g //= b
+                w += 1
+            if w:
+                weighted.append((w, u, v))
+        root = list(range(n))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = x = root[root[x]]  # path halving
+            return x
+
+        for w, u, v in sorted(weighted, reverse=True):
+            low, high = sorted((find(u), find(v)))
+            if low != high:
+                q = b**w
+                root[high] = low
+                h[high] *= q
+                joins[high].append((low, q))
+    # each vertex's anchors, each with the CRT weight of its part mod h_i
+    terms = []
+    children: list[list[int]] = [[] for _ in range(n)]
+    for i, (hi, js) in enumerate(zip(h, joins)):
+        terms.append([(a, hi // q * pow(hi // q, -1, q)) for a, q in js])
+        for a in {a for a, _ in js}:
+            children[a].append(i)
+    columns = []
+    for j in range(n):
+        col = {j: h[j]}
+        pending = children[j][:]  # ascending, so already a heap
+        seen = set(pending)
+        while pending:
+            i = heappop(pending)
+            x = sum(e * col.get(a, 0) for a, e in terms[i]) % h[i]
+            if x:
+                col[i] = x
+                for k in children[i]:
+                    if k not in seen:
+                        seen.add(k)
+                        heappush(pending, k)
+        columns.append(col)
+    return IntMatrix.sparse(n, columns)
 
 
 def pulled_back_lattice(

@@ -1,30 +1,20 @@
-"""Exact integer matrices and the two normal forms the engine reads.
+"""Exact integer matrices and the Smith normal form the engine reads.
 
 Z/mZ is not a domain, so the engine works over Z and reduces at the end.
-Each normal form here computes only what that answer reads, and keeps its
-entries bounded while doing so:
-
-* ``hnf(A, c)`` is the column-style Hermite normal form of the lattice
-  spanned by the columns of A together with c*Z^n: the n x n lower-triangular
-  basis with positive pivots whose entries left of each pivot lie in
-  [0, pivot).  With rows indexed by an ordered vertex list its columns are
-  flow-up vectors.  Every entry below the row being processed stays in
-  [0, c).  ``triangular_hnf(X, c)`` is the same form for a lower-triangular
-  X whose columns already span such a lattice: only the back-reduction.
-* ``snf(A, m)`` returns ``(d, V)``: the Smith diagonal d of A over Z, and a
-  right transform V reduced mod m, such that U*A*V = diag(d) for some
-  unimodular U, read mod m.  It pivots on a minimal-absolute-value nonzero
-  entry, breaking ties by (row, col) lexicographic order.
+``snf(A, m)`` returns ``(d, V)``: the Smith diagonal d of A over Z, and a
+right transform V reduced mod m, such that U*A*V = diag(d) for some
+unimodular U, read mod m.  It pivots on a minimal-absolute-value nonzero
+entry, breaking ties by (row, col) lexicographic order.
 
 An ``IntMatrix`` holds its shape and, for each column, a dict of its
-nonzero entries, so an n x 0 matrix keeps its n rows.  Both normal forms
-read and write only nonzero entries: the matrices the engine builds (the
-dual system, its Hermite forms, the scaled inverses and the Smith
-transform) are mostly zero, and the engine reads ``nonzeros`` alone.
-Three dense forms remain: the constructor takes rows, and ``entries``
-(the rows) and ``columns()`` are views built on each call.  They stay
-because the benchmark's trace sizes each kernel's arguments by their
-``entries``, and the tests write and compare matrices densely.
+nonzero entries, so an n x 0 matrix keeps its n rows.  ``snf`` reads and
+writes only nonzero entries: the matrices the engine builds (the flow-up
+basis, its scaled inverse and the Smith transform) are mostly zero, and
+the engine reads ``nonzeros`` alone.  Three dense forms remain: the
+constructor takes rows, and ``entries`` (the rows) and ``columns()`` are
+views built on each call.  They stay because the benchmark's trace sizes
+each kernel's arguments by their ``entries``, and the tests write and
+compare matrices densely.
 
 Matrices are immutable.
 """
@@ -34,8 +24,6 @@ from __future__ import annotations
 from itertools import repeat
 from math import gcd, inf
 from typing import Iterable, Sequence
-
-from .arith import xgcd
 
 
 class IntMatrix:
@@ -103,110 +91,6 @@ def _add_multiple(row: dict[int, int], src: dict[int, int], q: int, m: int = 0) 
             row[j] = x
         else:
             row.pop(j, None)
-
-
-def _combine(x: int, u: dict[int, int], y: int, v: dict[int, int], c: int) -> dict[int, int]:
-    """x*u + y*v mod c on sparse vectors, zeros dropped."""
-    out = {}
-    for i in u.keys() | v.keys():
-        z = (x * u.get(i, 0) + y * v.get(i, 0)) % c
-        if z:
-            out[i] = z
-    return out
-
-
-def hnf(A: IntMatrix, c: int) -> IntMatrix:
-    """Hermite basis of the lattice spanned by A's columns and c*Z^n.
-
-    Row r is processed by folding every remaining column with a nonzero in
-    row r into a pivot column that starts as c*e_r, then reducing the
-    finished columns in row r into [0, pivot).  The column c*e_i is never
-    touched before row i, so adding a multiple of it is a unimodular column
-    operation until then: every entry below the current row may be
-    replaced by its residue mod c.  The Hermite basis is unique, so neither
-    these reductions nor the order of the folds change it.
-
-    Only nonzero entries are visited.  The remaining columns wait in the
-    bucket of their first nonzero row, and each row keeps the finished
-    columns that may hold a nonzero there.
-    """
-    return _hermite(A, c, fold=True)
-
-
-def triangular_hnf(X: IntMatrix, c: int) -> IntMatrix:
-    """``hnf(X, c)`` for a lower-triangular X with a positive diagonal whose
-    columns already span a lattice containing c*Z^n.
-
-    The Hermite pivots of such a lattice are X's diagonal, so nothing needs
-    folding: column r, its entries below the diagonal reduced mod c, is the
-    pivot column of row r, and only the back-reduction of ``hnf`` is left.
-    The reduction keeps the span, because the columns stay in the lattice
-    and the diagonal, and with it the index, does not change.
-    """
-    return _hermite(X, c, fold=False)
-
-
-def _hermite(A: IntMatrix, c: int, fold: bool) -> IntMatrix:
-    """``hnf(A, c)``, or with ``fold`` False ``triangular_hnf(A, c)``: the
-    two differ only in where each row's pivot column comes from."""
-    n = A.nrows
-    if n == 0 or c < 1:
-        raise ValueError("hnf requires at least one row and a positive c")
-    # lead[r]: the columns not yet folded whose first nonzero is in row r,
-    # with entries in [0, c); without the fold there are none
-    lead: list[list[dict[int, int]]] = [[] for _ in range(n)]
-    for col in A.nonzeros if fold else ():
-        col = {i: z for i, x in col.items() if (z := x % c)}
-        if col:
-            lead[min(col)].append(col)
-    done: list[dict[int, int]] = []  # finished pivot columns
-    # holders[i]: the finished columns that may hold a nonzero in row i
-    holders: list[set[int]] = [set() for _ in range(n)]
-    for r in range(n):
-        if fold:
-            p = {r: c}
-        else:  # A's column r, reduced mod c below the diagonal
-            col = A.nonzeros[r]
-            p = {i: z for i, x in col.items() if i > r and (z := x % c)}
-            p[r] = col[r]
-        for col in lead[r]:
-            a, b = p[r], col[r]
-            if a == c:
-                # p is still c*e_r: x*p + y*col is y*col mod c, and the
-                # complement (a/g)*col - (b/g)*p is (c/g)*col mod c
-                g, _, y = xgcd(c, b) if c % b else (b, 0, 1)
-                s = c // g
-                p = col if y == 1 else {i: z for i, v in col.items() if (z := y * v % c)}
-                col = {i: z for i, v in col.items() if (z := s * v % c)}
-            elif b % a:
-                g, x, y = xgcd(a, b)
-                p, col = _combine(x, p, y, col, c), _combine(-(b // g), p, a // g, col, c)
-            else:
-                _add_multiple(col, p, -(b // a), c)
-            if col:  # row r is zero now
-                lead[min(col)].append(col)
-        h = p[r]
-        tail = [(i, u) for i, u in p.items() if i > r]
-        for k in holders[r]:
-            col = done[k]
-            q, x = divmod(col.get(r, 0), h)
-            if q:  # col -= q*p, its rows below r reduced mod c
-                if x:
-                    col[r] = x
-                else:
-                    del col[r]
-                for i, u in tail:
-                    x = (col.get(i, 0) - q * u) % c
-                    if x:
-                        col[i] = x
-                        holders[i].add(k)
-                    else:
-                        col.pop(i, None)
-        for i, _ in tail:
-            holders[i].add(r)
-        lead[r] = holders[r] = None  # row r is finished
-        done.append(p)
-    return IntMatrix.sparse(n, done)
 
 
 def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:

@@ -4,10 +4,10 @@ reference normal forms."""
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, lcm
 
 from splinemod.arith import crt_combine, xgcd
-from splinemod.engine import _scaled_inverse, integer_lattice
+from splinemod.engine import _scaled_inverse
 from splinemod.graph import EdgeLabeledGraph, normalize
 from splinemod.matrix import IntMatrix, snf
 
@@ -55,7 +55,7 @@ def random_cycle(rng: random.Random, n: int, m: int, labels: list[int]) -> EdgeL
 
 
 # Reference normal forms: the unbounded textbook algorithms, kept here to
-# check the bounded ones in ``splinemod.matrix`` against.
+# check ``splinemod.matrix.snf`` and the engine's flow-up basis against.
 
 
 def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -147,6 +147,33 @@ def with_scaled_identity(A: IntMatrix, c: int) -> IntMatrix:
     return IntMatrix(
         [list(row) + [c if i == k else 0 for k in range(n)] for i, row in enumerate(A.entries)]
     )
+
+
+def reference_lattice_hnf(A: IntMatrix, c: int) -> IntMatrix:
+    """The reference Hermite form of [A | c*I], cut to its n nonzero columns."""
+    H = reference_hnf(with_scaled_identity(A, c))
+    assert not any(x for row in H.entries for x in row[A.nrows :])
+    return IntMatrix([row[: A.nrows] for row in H.entries])
+
+
+def reference_flow_up(G: EdgeLabeledGraph) -> IntMatrix:
+    """The flow-up (Hermite) basis of a normalized graph's spline lattice L,
+    built from the dual lattice, as ``engine.integer_lattice`` once built it.
+
+    With c = m (in integer mode, the lcm of the labels) c*Z^n lies in L, so
+    c*L^* is the integer lattice spanned by the columns (c/g_e)(e_u - e_v)
+    and c*Z^n.  Its Hermite form H, taken with the vertex rows in reverse,
+    is upper triangular in vertex order once reversed back, and
+    L = c*H^{-T}: a lower-triangular basis whose Hermite form is the
+    answer.
+    """
+    n = G.n
+    last = n - 1
+    c = G.modulus or lcm(*(g for _, _, g in G.conditions))
+    dual = [{last - u: c // g, last - v: -(c // g)} for u, v, g in G.conditions]
+    H = reference_lattice_hnf(IntMatrix.sparse(n, dual), c).entries
+    lower = IntMatrix([[H[last - k][last - i] for k in range(n)] for i in range(n)])
+    return reference_lattice_hnf(_scaled_inverse(lower, c), c)
 
 
 def reference_snf(A: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
@@ -287,7 +314,8 @@ def reference_spline_check(G: EdgeLabeledGraph, values) -> bool:
 
 # Reference module vectors: the dense construction that
 # ``engine.normalized_module`` and ``engine.pulled_back_lattice`` replaced
-# with a block written from the nonzeros.
+# with a block written from the nonzeros, on the dual lattice's basis that
+# the closed form of ``engine.integer_lattice`` replaced.
 
 
 def reference_module_vectors(G: EdgeLabeledGraph):
@@ -296,7 +324,7 @@ def reference_module_vectors(G: EdgeLabeledGraph):
     built as a dense tuple and the set transposed into a vertex-major block
     to be pulled back."""
     gnorm, report = normalize(G)
-    B = integer_lattice(gnorm)
+    B = reference_flow_up(gnorm)
     m = G.modulus
     if m == 0:
         return tuple(zip(*report.pull_back(B.entries)))

@@ -1,10 +1,12 @@
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from splinemod.arith import (
     _is_strong_lucas_probable_prime,
+    coprime_base,
     crt_combine,
     factorize,
     is_prime,
@@ -113,6 +115,48 @@ class TestFactorize:
                 for k in (1, 2):
                     pairs = ((p, k + 1),) if p == q else ((p, k), (q, 1))
                     assert factorize(p**k * q).pairs == pairs
+
+
+def base_powers(x: int, base: list[int]) -> int:
+    """What is left of x > 0 once every element of base is divided out."""
+    for b in base:
+        while x % b == 0:
+            x //= b
+    return x
+
+
+class TestCoprimeBase:
+    @given(st.lists(st.integers(1, 10**6), max_size=8))
+    def test_pairwise_coprime_and_spans_every_input(self, values):
+        base = coprime_base(values)
+        assert base == sorted(set(base)) and all(b > 1 for b in base)
+        assert all(gcd(a, b) == 1 for a, b in combinations(base, 2))
+        assert all(base_powers(x, base) == 1 for x in values)
+
+    @given(st.lists(st.integers(2, 10**4), min_size=1, max_size=6))
+    def test_every_base_element_divides_an_input(self, values):
+        assert all(any(x % b == 0 for x in values) for b in coprime_base(values))
+
+    def test_unit_and_empty(self):
+        assert coprime_base([]) == []
+        assert coprime_base([1, 1]) == []
+        assert coprime_base([1, 12]) == [12]
+
+    def test_repeated_inputs(self):
+        assert coprime_base([30, 30, 30]) == [30]
+        assert coprime_base([4, 2, 8, 2]) == [2]
+
+    def test_composite_base_element(self):
+        # 36 = 6^2, so no factoring splits 6 into 2 and 3
+        assert coprime_base([36, 6]) == [6]
+        assert coprime_base([6, 36]) == [6]
+        assert coprime_base([12, 18]) == [2, 3]
+        assert coprime_base([26620, 220, 2662]) == [2, 5, 11]
+
+    def test_large_primes_need_no_factoring(self):
+        p, q = 10**19 + 51, 3 * 10**19 + 41
+        assert coprime_base([p * q, p, q]) == [p, q]
+        assert coprime_base([p * q]) == [p * q]
 
 
 class TestCrtCombine:

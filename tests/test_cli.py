@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import importlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -298,7 +299,7 @@ class TestSolve:
         # m = 30030 is squarefree, so each of the six prime components
         # normalizes to an edgeless graph and takes the closed form: only the
         # direct path reaches the lattice kernels, and it takes one lattice
-        # (B is inverted inside integer_lattice, and again for snf)
+        # (B, inverted once for snf)
         calls = Counter()
 
         def counting(name, real):
@@ -313,7 +314,7 @@ class TestSolve:
         run_json(capsys, ["solve", path, "--crt"])
         assert calls == {}
         run_json(capsys, ["solve", path])
-        assert calls == {"integer_lattice": 1, "_scaled_inverse": 2, "snf": 1}
+        assert calls == {"integer_lattice": 1, "_scaled_inverse": 1, "snf": 1}
 
     def test_large_semiprime_modulus(self, capsys, tmp_path):
         # m = (10**9 + 7) * (10**9 + 9): both primes lie past trial division
@@ -1247,6 +1248,49 @@ class TestDeepInputs:
 
 
 class TestConsoleScript:
+    # stdout buffered, as it is unless PYTHONUNBUFFERED is set
+    BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    @staticmethod
+    def assert_one_error_line(stderr: str):
+        # no traceback, and no "Exception ignored" from the flush at exit
+        assert stderr.startswith("error: cannot write the report: ")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+    def test_closed_pipe_exits_2(self):
+        # the 11 MB report outgrows the pipe, whose reader stops at 100 bytes
+        path = str(GRAPHS / "n350_e1400_m30030.graph")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "splinemod.cli", "solve", "--crt", "--json", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.BUFFERED,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert head.startswith(b"{")
+        self.assert_one_error_line(stderr)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_full_device_exits_2(self, form):
+        # the text report (581 bytes) sits in the buffer until a flush; the
+        # JSON one (8,857 bytes) outgrows it and fails in the write
+        path = str(GRAPHS / "n7_m10.graph")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "splinemod.cli", "solve", *form, path],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=self.BUFFERED,
+            )
+        assert proc.returncode == 2
+        self.assert_one_error_line(proc.stderr)
+        assert "No space left" in proc.stderr
+
     def test_module_invocation(self, tri36):
         proc = subprocess.run(
             [sys.executable, "-m", "splinemod.cli", "solve", tri36, "--json"],

@@ -1,18 +1,17 @@
 import random
-from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from splinemod import engine
 from splinemod.decompose import decompose
-from splinemod.graph import normalize
-from splinemod.matrix import IntMatrix, hnf, snf, triangular_hnf
+from splinemod.graph import EdgeLabeledGraph
+from splinemod.matrix import IntMatrix, snf
 from support import (
     det,
     matmul,
     random_connected_graph,
-    reference_hnf,
+    reference_lattice_hnf,
     reference_snf,
     with_scaled_identity,
 )
@@ -47,13 +46,6 @@ def sparse_lower_triangular(draw, max_dim=12, max_entry=500):
         ):
             rows[i][j] = draw(st.integers(-max_entry, max_entry))
     return IntMatrix(rows)
-
-
-def reference_lattice_hnf(A: IntMatrix, c: int) -> IntMatrix:
-    """The reference Hermite form of [A | c*I], cut to its n nonzero columns."""
-    H = reference_hnf(with_scaled_identity(A, c))
-    assert not any(x for row in H.entries for x in row[A.nrows :])
-    return IntMatrix([row[: A.nrows] for row in H.entries])
 
 
 def scalar_matrix(q: int, n: int) -> IntMatrix:
@@ -128,7 +120,8 @@ def wide_two_per_column(rng: random.Random, n: int, e: int, big: bool = False) -
     return IntMatrix(zip(*cols))
 
 
-# Structured sparse inputs: (name, A, c), with c the modulus for hnf and snf.
+# Structured sparse inputs: (name, A, c), with c the modulus for the
+# Hermite form and snf.
 STRUCTURED = [
     ("identity", scalar_matrix(1, 6), 12),
     ("scalar", scalar_matrix(9, 5), 9),
@@ -143,11 +136,15 @@ STRUCTURED = [
 
 
 class TestStructuredSparse:
-    """The kernels against the dense references on structured sparse input."""
+    """The kernels against the dense references, and the reference Hermite
+    form's shape and span, on structured sparse input."""
 
     @pytest.mark.parametrize("name, A, c", STRUCTURED)
     def test_hnf(self, name, A, c):
-        assert hnf(A, c) == reference_lattice_hnf(A, c)
+        H = reference_lattice_hnf(A, c)
+        assert is_lower_echelon(H) and H.ncols == A.nrows
+        assert all(c % H.entries[i][i] == 0 for i in range(H.nrows))
+        assert spans_same_lattice(with_scaled_identity(A, c), H)
 
     @pytest.mark.parametrize("name, A, c", STRUCTURED)
     def test_snf(self, name, A, c):
@@ -158,7 +155,7 @@ class TestStructuredSparse:
 
     @pytest.mark.parametrize("name, A, c", STRUCTURED)
     def test_scaled_inverse_of_the_hermite_basis(self, name, A, c):
-        B = hnf(A, c)  # lower triangular, and its lattice contains c*Z^n
+        B = reference_lattice_hnf(A, c)  # lower triangular, contains c*Z^n
         X = engine._scaled_inverse(B, c)
         assert matmul(B, X) == scalar_matrix(c, B.nrows)
 
@@ -195,7 +192,7 @@ class TestIntMatrix:
     def test_equal_however_built(self):
         dense = IntMatrix([[1, 0], [0, 1]])
         built = (
-            hnf(IntMatrix.sparse(2, []), 1),  # c*I for c = 1, built by the kernel
+            engine.integer_lattice(EdgeLabeledGraph(0, ("a", "b"), ())),  # by the engine
             IntMatrix(zip(*[(1, 0), (0, 1)])),  # from columns
             IntMatrix.sparse(2, [{0: 1}, {1: 1}]),
         )
@@ -215,7 +212,7 @@ class TestIntMatrix:
         assert A.entries == ((), (), ())
         assert A.columns() == []
         assert repr(A) == "IntMatrix([[], [], []])"
-        assert hnf(A, 4) == scalar_matrix(4, 3)
+        assert reference_lattice_hnf(A, 4) == scalar_matrix(4, 3)
 
     def test_matmul_identity(self):
         A = IntMatrix([[1, 2], [3, 4]])
@@ -231,14 +228,17 @@ class TestIntMatrix:
 
 
 class TestHnf:
+    """The reference Hermite form of [A | c*I], which ``reference_flow_up``
+    and the scaled-inverse tests build on."""
+
     def test_identity(self):
-        assert hnf(scalar_matrix(1, 2), 5) == scalar_matrix(1, 2)
+        assert reference_lattice_hnf(scalar_matrix(1, 2), 5) == scalar_matrix(1, 2)
 
     def test_2x2_determinant_preserved(self):
         # columns (2,4) and (3,5): |det| = 2, so the lattice contains 2*Z^2
         # and |det| survives into the triangular form
         A = IntMatrix(zip(*[(2, 4), (3, 5)]))
-        H = hnf(A, 2)
+        H = reference_lattice_hnf(A, 2)
         assert abs(det(H)) == abs(det(A)) == 2
         assert is_lower_echelon(H)
         assert spans_same_lattice(A, H)
@@ -246,10 +246,10 @@ class TestHnf:
     def test_two_vertex_lattice(self):
         # generators (1,1) and (2,0) of {f : 2 | f1 - f2}
         A = IntMatrix(zip(*[(1, 1), (2, 0)]))
-        assert hnf(A, 2).columns() == [(1, 1), (0, 2)]
+        assert reference_lattice_hnf(A, 2).columns() == [(1, 1), (0, 2)]
 
     def test_pivot_reduction(self):
-        H = hnf(IntMatrix([[4, 7], [0, 3]]), 12)
+        H = reference_lattice_hnf(IntMatrix([[4, 7], [0, 3]]), 12)
         # pivot row 0 first: entries left of later pivots reduced into [0, pivot)
         assert is_lower_echelon(H)
         for i in range(2):
@@ -259,12 +259,12 @@ class TestHnf:
                 assert 0 <= H.entries[i][j] < p
 
     def test_no_columns_gives_c_identity(self):
-        assert hnf(IntMatrix([[], []]), 6).columns() == [(6, 0), (0, 6)]
+        assert reference_lattice_hnf(IntMatrix([[], []]), 6).columns() == [(6, 0), (0, 6)]
 
     @settings(max_examples=150)
     @given(small_matrices(), moduli)
     def test_factorization_and_shape(self, A, c):
-        H = hnf(A, c)
+        H = reference_lattice_hnf(A, c)
         assert H.nrows == H.ncols == A.nrows
         assert is_lower_echelon(H)
         assert all(H.entries[i][i] > 0 and c % H.entries[i][i] == 0 for i in range(H.nrows))
@@ -272,73 +272,12 @@ class TestHnf:
     @settings(max_examples=100)
     @given(small_matrices(), moduli)
     def test_column_span_preserved(self, A, c):
-        assert spans_same_lattice(with_scaled_identity(A, c), hnf(A, c))
-
-    @settings(max_examples=200)
-    @given(small_matrices(max_dim=5, max_entry=500), moduli)
-    def test_matches_reference(self, A, c):
-        assert hnf(A, c) == reference_lattice_hnf(A, c)
-
-    @staticmethod
-    def engine_calls(monkeypatch, name, form, seed):
-        """The (A, c, answer) of every ``name`` call the engine's lattice
-        construction makes, recorded on random graphs mod m and in integer
-        mode (c the lcm of the labels)."""
-        calls = []
-
-        def recording(A, c):
-            H = form(A, c)
-            calls.append((A, c, H))
-            return H
-
-        monkeypatch.setattr(engine, name, recording)
-        rng = random.Random(seed)
-        for _ in range(80):
-            m = rng.choice([0, 0, 12, 30, 36, 64, 210, 2310])
-            labels = list(range(2, 40)) if m == 0 else None
-            G = random_connected_graph(
-                rng, rng.randrange(2, 9), m, rng.randrange(8), labels
-            )
-            engine.integer_lattice(normalize(G)[0])
-        assert {c for _, c, _ in calls} > {12, 30, 36, 64, 210, 2310}
-        return calls
-
-    def test_matches_reference_on_dual_matrices(self, monkeypatch):
-        for A, c, H in self.engine_calls(monkeypatch, "hnf", hnf, 41):
-            assert H == reference_lattice_hnf(A, c)
-
-    def test_triangular_matches_hnf_on_engine_inputs(self, monkeypatch):
-        # X = c * lower^{-1}, the lattice basis before its Hermite form
-        calls = self.engine_calls(monkeypatch, "triangular_hnf", triangular_hnf, 43)
-        for X, c, H in calls:
-            assert all(i >= j for j, col in enumerate(X.nonzeros) for i in col)
-            assert H == hnf(X, c) == reference_lattice_hnf(X, c)
-        # some calls have entries below the diagonal to reduce
-        assert any(len(col) > 1 for X, _, _ in calls for col in X.nonzeros)
-
-    @settings(max_examples=100)
-    @given(sparse_lower_triangular(max_dim=7, max_entry=40), st.integers(1, 6))
-    def test_triangular_matches_hnf(self, T, k):
-        # any lower-triangular basis spans a lattice containing c*Z^n once
-        # its determinant divides c
-        X = IntMatrix.sparse(
-            T.nrows,
-            [{i: abs(x) if i == j else x for i, x in col.items()} for j, col in enumerate(T.nonzeros)],
-        )
-        c = k * prod(col[j] for j, col in enumerate(X.nonzeros))
-        assert triangular_hnf(X, c) == hnf(X, c)
+        assert spans_same_lattice(with_scaled_identity(A, c), reference_lattice_hnf(A, c))
 
     def test_span_check_detects_a_sublattice(self):
         A = IntMatrix(zip(*[(1, 0), (0, 1)]))
         assert not spans_same_lattice(A, IntMatrix(zip(*[(2, 0), (0, 1)])))
         assert not in_column_span(IntMatrix(zip(*[(1, 1), (0, 2)])), (0, 1))
-
-    def test_rejects_empty(self):
-        for form in (hnf, triangular_hnf):
-            with pytest.raises(ValueError):
-                form(IntMatrix([]), 5)
-            with pytest.raises(ValueError):
-                form(scalar_matrix(1, 2), 0)
 
 
 class TestSnf:

@@ -7,8 +7,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import time
-import types
 from collections import Counter
 
 import pytest
@@ -357,7 +357,7 @@ class TestSolve:
         )
         argv = ["solve", str(GRAPHS / "n7_m10.graph"), "--verify", "--json"]
         proc = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
@@ -740,6 +740,21 @@ class TestConstruct:
     def test_infeasible_exit(self, capsys):
         assert cli.main(["construct", "3", "4", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # rank 1 is accepted too, so the range is 1..n, not build_rank_k's 2..n
+            (["3", "12", "0"], "rank 0 is outside 1..3"),
+            (["3", "12", "4"], "rank 4 is outside 1..3"),
+            (["1", "6", "1"], "rank 1 needs at least 3 vertices, got 1"),
+            (["0", "6", "1"], "rank 1 needs at least 3 vertices, got 0"),
+            (["3", "0", "2"], "modulus 0 is not a positive integer"),
+        ],
+    )
+    def test_input_error_message(self, capsys, argv, message):
+        assert cli.main(["construct", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_emits_parseable_graph_file(self, capsys):
         assert cli.main(["construct", "3", "30", "1"]) == 0
         out = capsys.readouterr().out
@@ -991,56 +1006,153 @@ class TestJsonOutput:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def _owner(obj) -> str:
-    """The module that defines a function, or the class of anything else."""
-    if isinstance(obj, types.FunctionType):
-        return obj.__module__ or ""
-    return type(obj).__module__ or ""
+def _cyclic_garbage(calls) -> list:
+    """The objects that running ``calls`` leaves in reference cycles.  The
+    calls run once before, to fill caches; any of them may end in
+    ``SystemExit``."""
+
+    def run_all():
+        for call in calls:
+            try:
+                call()
+            except SystemExit:
+                pass
+
+    run_all()
+    gc.collect()
+    flags, before = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_all()
+        gc.collect()
+        return gc.garbage[before:]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+
+
+class Interrupt(BaseException):
+    """Stands for an interrupt or the benchmark's case timeout."""
 
 
 class TestInProcessCalls:
     """``main`` called many times in one process, as the tests and the
     benchmark call it."""
 
-    def test_no_cyclic_garbage(self, capsys, tmp_path, tri36, c21):
-        files = {}
+    def test_no_cyclic_garbage(self, capsys, tmp_path, monkeypatch, tri36, c21):
+        # main pauses the cyclic collector for the command, so a cycle made
+        # there would live until the command ends: none may be made at all
+        files = {"tri36": tri36, "c21": c21}
         for name, text in (
             ("int", "mod 0\nvertices a b c\nedge a b 2\nedge b c 0\n"),
             ("base", "mod 12\nvertices a b\nedge a b 2\n"),
             ("ext", "mod 12\nvertices a b c\nedge a b 2\nedge b c 8\n"),
+            ("int_base", "mod 0\nvertices a b\nedge a b 2\n"),
+            ("int_ext", "mod 0\nvertices a b c\nedge a b 2\nedge b c 6\nedge a c 3\n"),
+            ("c3", SINGLE_LABEL_TEXT),
+            # labels 2 and 3 mod 12: no closed form applies
+            ("fallback", "mod 12\nvertices a b c d\nedge a b 2\nedge b c 3\nedge c d 2\nedge d a 3\n"),
         ):
             path = tmp_path / f"{name}.graph"
             path.write_text(text)
             files[name] = str(path)
-        calls = [
-            ["solve", tri36],
-            ["solve", tri36, "--crt"],
-            ["solve", tri36, "--verify"],
-            ["solve", files["int"]],
-            ["cycle", c21],
+        accepted = [
+            ["solve", "{tri36}"],
+            ["solve", "{tri36}", "--crt"],
+            ["solve", "{tri36}", "--direct"],
+            ["solve", "{tri36}", "--verify"],
+            ["solve", "{int}"],
+            ["cycle", "{c21}"],
+            ["cycle", "{fallback}"],
+            ["cycle", "{c3}", "--verify"],
             ["construct", "4", "6", "1"],
-            ["extend", files["base"], files["ext"], "c"],
+            ["construct", "5", "30", "3"],
+            ["extend", "{base}", "{ext}", "c"],
+            ["extend", "{int_base}", "{int_ext}", "c"],
         ]
-        assert cli.main(calls[0]) == 0  # warm-up: the parser is built once
-        gc.collect()
-        flags, before = gc.get_debug(), len(gc.garbage)
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            for argv in calls:
-                for extra in ([], ["--json"]):
-                    assert cli.main(argv + extra) == 0, argv + extra
-            gc.collect()
-            left = [
-                obj
-                for obj in gc.garbage[before:]
-                if _owner(obj) == "argparse"
-                or (isinstance(obj, types.FunctionType) and _owner(obj).startswith("splinemod"))
-            ]
-        finally:
-            gc.set_debug(flags)
-            del gc.garbage[before:]
+        rejected = [
+            (["solve", str(tmp_path / "missing.graph")], 2),
+            (["solve", "{c21}", "--verify", "--budget", "1"], 3),
+            (["solve", "{tri36}", "--verify"], 4),
+        ]
+        runs = [(argv, 0) for argv in accepted] + rejected
+        original = cli.enumerate_splines
+        codes = []
+
+        def call(argv, code):
+            def run():
+                with monkeypatch.context() as patch:
+                    if code == 4:  # a spline list short of a group
+                        patch.setattr(cli, "enumerate_splines", lambda *a: original(*a)[:-1])
+                    codes.append(cli.main([a.format(**files) for a in argv]))
+
+            return run
+
+        left = _cyclic_garbage(
+            [call(argv + extra, code) for argv, code in runs for extra in ([], ["--json"])]
+        )
         capsys.readouterr()
         assert left == []
+        assert codes == [code for _, code in runs for _ in range(2)] * 2
+
+    def test_rejected_argv_leaves_only_argparse_cycles(self, capsys, tri36):
+        # argparse's usage message leaves a formatter in a cycle; the
+        # collector, resumed when main returns, reclaims it
+        left = _cyclic_garbage([lambda: cli.main(["solve", tri36, "--crt", "--direct"])])
+        capsys.readouterr()
+        objects = {id(obj): obj for obj in left}
+        owned = {key for key, obj in objects.items() if type(obj).__module__ == "argparse"}
+        frontier = set(owned)
+        while frontier:  # add what the argparse objects refer to
+            reached = {id(ref) for key in frontier for ref in gc.get_referents(objects[key])}
+            frontier = (reached & objects.keys()) - owned
+            owned |= frontier
+        assert owned
+        assert owned == objects.keys(), [obj for key, obj in objects.items() if key not in owned]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_setting_restored(self, capsys, monkeypatch, tri36, c21, enabled):
+        """Paused while the command runs, then as the caller left it, on
+        every way out."""
+        during = []
+        original = cli.enumerate_splines
+
+        def short(*args):
+            during.append(gc.isenabled())
+            return original(*args)[:-1]
+
+        def interrupt(*args):
+            during.append(gc.isenabled())
+            raise Interrupt
+
+        runs = [
+            (["solve", tri36], None, 0),
+            (["solve", tri36 + ".missing"], None, 2),
+            (["solve", c21, "--verify", "--budget", "1"], None, 3),
+            (["solve", tri36, "--verify"], short, 4),
+            (["solve", tri36, "--crt", "--direct"], None, "SystemExit(2)"),
+            (["solve", tri36, "--verify"], interrupt, "Interrupt"),
+        ]
+        outcomes = []
+        caller = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, patched, _ in runs:
+                with monkeypatch.context() as patch:
+                    if patched:
+                        patch.setattr(cli, "enumerate_splines", patched)
+                    try:
+                        outcome = cli.main(argv)
+                    except SystemExit as exc:
+                        outcome = f"SystemExit({exc.code})"
+                    except Interrupt:
+                        outcome = "Interrupt"
+                outcomes.append((outcome, gc.isenabled()))
+        finally:
+            (gc.enable if caller else gc.disable)()
+        capsys.readouterr()
+        assert outcomes == [(expected, enabled) for _, _, expected in runs]
+        assert during == [False, False]
 
     def test_rejected_argv_then_valid_call(self, capsys, tri36):
         with pytest.raises(SystemExit) as exc:
@@ -1260,16 +1372,24 @@ class TestConsoleScript:
     def test_closed_pipe_exits_2(self):
         # the 11 MB report outgrows the pipe, whose reader stops at 100 bytes
         path = str(GRAPHS / "n350_e1400_m30030.graph")
-        proc = subprocess.Popen(
+        # about 0.3 s; a run still going after 60 s is killed, which ends
+        # every read and wait below
+        with subprocess.Popen(
             [sys.executable, "-m", "splinemod.cli", "solve", "--crt", "--json", path],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=self.BUFFERED,
-        )
-        head = proc.stdout.read(100)
-        proc.stdout.close()
-        stderr = proc.stderr.read().decode()
-        assert proc.wait() == 2
+        ) as proc:
+            watchdog = threading.Timer(60, proc.kill)
+            watchdog.start()
+            try:
+                head = proc.stdout.read(100)
+                proc.stdout.close()
+                stderr = proc.stderr.read().decode()
+                code = proc.wait(timeout=60)
+            finally:
+                watchdog.cancel()
+        assert code == 2
         assert head.startswith(b"{")
         self.assert_one_error_line(stderr)
 
@@ -1286,6 +1406,7 @@ class TestConsoleScript:
                 stderr=subprocess.PIPE,
                 text=True,
                 env=self.BUFFERED,
+                timeout=60,  # about 0.1 s
             )
         assert proc.returncode == 2
         self.assert_one_error_line(proc.stderr)
@@ -1296,6 +1417,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "splinemod.cli", "solve", tri36, "--json"],
             capture_output=True,
             text=True,
+            timeout=60,  # about 0.1 s
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["invariant_factors"] == [6, 36]

@@ -26,6 +26,7 @@ from .engine import (
     ExtensionAnalysis,
     SplineModule,
     extension_analysis,
+    forest_rank,
     integer_lattice,
     invariant_factors,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "factorize",
     "fingerprint",
     "first_failing",
+    "forest_rank",
     "integer_lattice",
     "invariant_factors",
     "is_prime",

@@ -27,6 +27,7 @@ from .engine import (
     IntVectors,
     SplineModule,
     extension_analysis,
+    forest_rank,
     invariant_factors,
     normalized_module,
     pulled_back_lattice,
@@ -202,14 +203,16 @@ def _cycle_report(args: argparse.Namespace) -> dict:
 
 
 def _construct_report(args: argparse.Namespace) -> dict:
-    k = args.k
+    n, k = args.n, args.k
     if k == 1:
-        graph, recipe = construct_mod.build_rank_1(args.n, args.m)
-    elif not 1 <= k <= args.n:
-        raise SplineError(f"rank {k} is outside 1..{args.n}")
+        graph, recipe = construct_mod.build_rank_1(n, args.m)
+    elif n < 1:
+        raise SplineError(f"need at least 1 vertex, got {n}")
+    elif not 1 <= k <= n:
+        raise SplineError(f"rank {k} is outside 1..{n}")
     else:
-        graph, recipe = construct_mod.build_rank_k(args.n, args.m, k)
-    achieved = invariant_factors(graph).rank
+        graph, recipe = construct_mod.build_rank_k(n, args.m, k)
+    achieved = forest_rank(graph)
     if achieved != k:
         raise InternalInconsistency(
             f"constructed graph has rank {achieved}, wanted {k}"

@@ -37,12 +37,17 @@ def _factor_modulus(m: int) -> Factorization:
     return factorize(m)
 
 
+def _too_few_primes(m: int, fac: Factorization) -> str:
+    """What m lacks, when ``fac`` has fewer than two primes."""
+    return f"modulus {m} {'is a prime power' if fac.pairs else 'has no prime factor'}"
+
+
 def _coprime_split(m: int, fac: Factorization) -> tuple[int, int]:
     """Deterministic coprime pair (n1, n2), n1*n2 = m, n1 the least prime
     power; ``fac`` is the factorization of m."""
     if len(fac.pairs) < 2:
         raise SplineError(
-            f"modulus {m} is a prime power; a coprime split needs two distinct primes"
+            f"{_too_few_primes(m, fac)}; a coprime split needs two distinct primes"
         )
     p, k = fac.pairs[0]
     n1 = p**k
@@ -118,9 +123,7 @@ def build_rank_1(n: int, m: int) -> tuple[EdgeLabeledGraph, ConstructionRecipe]:
             )
     elif n >= 4:
         if distinct < 2:
-            raise SplineError(
-                f"modulus {m} is a prime power; rank 1 needs two distinct primes"
-            )
+            raise SplineError(f"{_too_few_primes(m, fac)}; rank 1 needs two distinct primes")
     else:
         raise SplineError(f"rank 1 needs at least 3 vertices, got {n}")
     n1, n2 = _coprime_split(m, fac)

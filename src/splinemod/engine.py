@@ -22,6 +22,10 @@ over Z, but the answer is read mod m: ``snf`` keeps its right transform
 mod m, while the Smith diagonal itself stays exact.  Its product, times
 det B, must be m^{n'}, which compares the anchors with ``snf``.
 
+The rank alone needs neither form: ``forest_rank`` counts the components
+of one subgraph per part of the modulus (THEORY.md, lemma 2), which is how
+``construct`` verifies the graphs it builds.
+
 The matrices pass from the flow-up basis to the Smith transform as sparse
 columns, ``IntMatrix.nonzeros``, with no dense copy, identity or transpose
 between kernels.  The printed vectors are reduced from those columns and
@@ -50,7 +54,13 @@ from math import gcd, lcm, prod
 
 from .arith import coprime_base
 from .errors import InternalInconsistency, SplineError
-from .graph import EdgeLabeledGraph, NormalizationReport, check_splines, normalize
+from .graph import (
+    EdgeLabeledGraph,
+    NormalizationReport,
+    check_splines,
+    components,
+    normalize,
+)
 from .matrix import IntMatrix, snf
 
 
@@ -356,6 +366,30 @@ def normalized_module(
     return SplineModule(
         m, tuple(factors), IntVectors(columns[:k]), d, IntVectors(columns[k:])
     )
+
+
+def forest_rank(G: EdgeLabeledGraph) -> int:
+    """Rank of G's spline module mod m, without a Smith form (THEORY.md,
+    lemma 2): the largest, over the prime powers q exactly dividing m, of
+    the number of components of the subgraph of the edges whose modulus q
+    divides; 0 for m = 1.
+
+    The parts are taken from a coprime base of m and the edge moduli, as in
+    ``integer_lattice``: for b^a exactly dividing m and every prime p of b,
+    the edges that p's full power divides are those that b^a divides, so
+    no factoring is needed.
+    """
+    m = G.modulus
+    if m == 0:
+        raise SplineError("the rank is only defined for a finite modulus")
+    rank = 0
+    for b in coprime_base({g for _, _, g in G.conditions} | {m}):
+        q = b
+        while m % (q * b) == 0:
+            q *= b
+        roots = components(G.n, [(u, v) for u, v, g in G.conditions if g % q == 0])
+        rank = max(rank, len(set(roots)))
+    return rank
 
 
 def _skip(i: int, vi: int) -> int:

@@ -241,9 +241,14 @@ def parse_graph_json(text: str) -> EdgeLabeledGraph:
 
 
 def load_graph(path: str) -> EdgeLabeledGraph:
+    """The graph in the file at ``path``: JSON if the name ends in
+    ``.json``, the text format otherwise.  The file must be UTF-8, and a
+    leading byte-order mark is dropped, as the ``utf-8-sig`` codec drops
+    it; the mark is removed after decoding so that a decoding error names
+    its byte offset in the file itself."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     if path.endswith(".json"):

@@ -4,7 +4,10 @@ Z/mZ is not a domain, so the engine works over Z and reduces at the end.
 ``snf(A, m)`` returns ``(d, V)``: the Smith diagonal d of A over Z, and a
 right transform V reduced mod m, such that U*A*V = diag(d) for some
 unimodular U, read mod m.  It pivots on a minimal-absolute-value nonzero
-entry, breaking ties by (row, col) lexicographic order.
+entry, breaking ties by (row, col) lexicographic order.  A column swap
+moves no entry of the working matrix: its rows keep A's column indices as
+keys, and a permutation between positions and keys records the column
+order, so a swap costs O(1) however many rows remain.
 
 An ``IntMatrix`` holds its shape and, for each column, a dict of its
 nonzero entries, so an n x 0 matrix keeps its n rows.  ``snf`` reads and
@@ -80,19 +83,6 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
-def _add_multiple(row: dict[int, int], src: dict[int, int], q: int, m: int = 0) -> None:
-    """row += q * src on sparse vectors, reduced mod m unless m is 0,
-    dropping entries that become zero."""
-    for j, b in src.items():
-        x = row.get(j, 0) + q * b
-        if m:
-            x %= m
-        if x:
-            row[j] = x
-        else:
-            row.pop(j, None)
-
-
 def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
     """Smith diagonal d of A and a right transform V reduced mod m.
 
@@ -100,14 +90,18 @@ def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
     other, and zeros trail.  The row operations of the elimination are not
     recorded; every column operation is applied to V mod m as it is made.
 
-    The working matrix is held as sparse rows ``{col: value}``, transposed
+    The working matrix is held as sparse rows ``{key: value}``, transposed
     from A's columns, and V as sparse columns; every row or column
-    operation visits only their nonzero entries.  Once pivot t is done its
-    row and column hold nothing else, so rows t onward are zero left of
-    column t.  Each row's least nonzero |entry| and the gcd of its entries
-    are kept as the row changes, so the pivot search (least |entry|, first
-    in row-major order) and the divisibility check of the trailing block
-    read one number per row.
+    operation visits only their nonzero entries.  A column swap moves no
+    entry of the rows: they keep A's column indices as keys, and the swap
+    exchanges two entries of the permutation ``key`` (position -> key) and
+    its inverse ``pos``, and two columns of V, which is held by position.
+    Once pivot t is done its row and column hold nothing else, so rows t
+    onward hold only the keys of positions t onward, and the diagonal is
+    read as ``S[i][key[i]]``.  Each row's least nonzero |entry| and the gcd
+    of its entries are kept as the row changes, so the pivot search (least
+    |entry|, first in row-major order of the positions) and the
+    divisibility check of the trailing block read one number per row.
     """
     if A.nrows == 0 or A.ncols == 0 or m < 1:
         raise ValueError("snf requires a nonempty matrix and a positive m")
@@ -118,7 +112,9 @@ def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
             S[i][j] = x
     least = [min(map(abs, row.values()), default=inf) for row in S]
     gcds = [gcd(*row.values()) for row in S]
-    V = [{j: 1} if m > 1 else {} for j in range(cols)]  # by column, mod m
+    V = [{j: 1} if m > 1 else {} for j in range(cols)]  # by position, mod m
+    key = list(range(cols))  # the key of the column at each position
+    pos = list(range(cols))  # the position of each key
 
     t = 0
     while t < min(rows, cols):
@@ -127,41 +123,66 @@ def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
             break  # the trailing block is zero
         while True:
             pi = least.index(low, t)
-            pj = min(j for j, x in S[pi].items() if abs(x) == low)
+            pj = min(pos[j] for j, x in S[pi].items() if x == low or x == -low)
             for L in (S, least, gcds):
                 L[t], L[pi] = L[pi], L[t]
             if pj != t:
-                for row in S[t:]:
-                    a, b = row.pop(t, 0), row.pop(pj, 0)
-                    if b:
-                        row[t] = b
-                    if a:
-                        row[pj] = a
+                a, b = key[t], key[pj]
+                key[t], key[pj], pos[a], pos[b] = b, a, pj, t
                 V[t], V[pj] = V[pj], V[t]
+            kt = key[t]
             top = S[t]
-            p = top[t]
-            hit = [i for i in range(t + 1, rows) if t in S[i]]
-            for i in hit:
-                _add_multiple(S[i], top, -(S[i][t] // p))
-            live = [t] + [i for i in hit if t in S[i]]  # the rest are zero in column t
-            dirty = len(live) > 1
-            vt = V[t]
-            for j, b in list(top.items()):
-                if j == t:
-                    continue
-                q = b // p
-                if q:
-                    for i in live:
-                        row = S[i]
-                        x = row.get(j, 0) - q * row[t]
+            p = top[kt]
+            # Clear column kt below the pivot, one row operation per row
+            # that holds it.  |p| is least in the trailing block, so the
+            # multiple q is nonzero, and an entry of top that a row lacks
+            # never cancels.
+            hit = []
+            live = []  # the rows below t still nonzero in column kt
+            for i in range(t + 1, rows):
+                row = S[i]
+                a = row.get(kt)
+                if a is not None:
+                    hit.append(i)
+                    q = a // p
+                    for j, b in top.items():
+                        x = row.get(j, 0) - q * b
                         if x:
                             row[j] = x
                         else:
-                            row.pop(j, None)
-                    _add_multiple(V[j], vt, -q % m, m)  # q grows with S; V is mod m
-                dirty = dirty or j in top
-            # Row t is {t: p} when the pivot is alone, and is then read only
-            # if the divisibility check below adds a row to it.
+                            del row[j]
+                    if kt in row:
+                        live.append(i)
+            # Clear row t right of the pivot, one column operation per
+            # entry, each applied to V mod m: q grows with S, V does not.
+            vt = V[t]
+            rest = {kt: p}
+            for j, b in top.items():
+                if j == kt:
+                    continue
+                q, r = divmod(b, p)
+                if r:
+                    rest[j] = r
+                if q:
+                    for i in live:
+                        row = S[i]
+                        x = row.get(j, 0) - q * row[kt]
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                    vj = V[pos[j]]
+                    c = -q % m
+                    for i, y in vt.items():
+                        x = (vj.get(i, 0) + c * y) % m
+                        if x:
+                            vj[i] = x
+                        else:
+                            vj.pop(i, None)
+            S[t] = top = rest
+            dirty = len(top) > 1 or bool(live)
+            # Row t is {kt: p} when the pivot is alone, and is then read
+            # only if the divisibility check below adds a row to it.
             for i in [t] + hit if dirty else hit:
                 entries = S[i].values()
                 least[i] = min(map(abs, entries), default=inf)
@@ -172,12 +193,12 @@ def snf(A: IntMatrix, m: int) -> tuple[tuple[int, ...], IntMatrix]:
                 if gcd(*gcds[t + 1 :]) % p == 0:
                     break
                 offender = next(i for i in range(t + 1, rows) if gcds[i] % p)
-                _add_multiple(top, S[offender], 1)
+                top.update(S[offender])  # top holds kt alone, the offender not kt
                 least[t], gcds[t] = min(map(abs, top.values())), gcd(*top.values())
             low = min(least[t:])
-        if S[t][t] < 0:
+        if S[t][key[t]] < 0:
             S[t] = {j: -x for j, x in S[t].items()}
         t += 1
 
-    d = tuple(S[i].get(i, 0) for i in range(min(rows, cols)))
+    d = tuple(S[i].get(key[i], 0) for i in range(min(rows, cols)))
     return d, IntMatrix.sparse(cols, V)

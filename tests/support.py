@@ -4,7 +4,9 @@ reference normal forms."""
 from __future__ import annotations
 
 import random
+import sys
 from math import gcd, lcm
+from pathlib import Path
 
 from splinemod.arith import crt_combine, xgcd
 from splinemod.engine import _scaled_inverse
@@ -44,6 +46,19 @@ def random_connected_graph(
         edges.append((u, v, rng.choice(labels)))
         added += 1
     return EdgeLabeledGraph(m, names, tuple(edges))
+
+
+def bench_workloads():
+    """``bench/workloads.py``, the benchmark's instance generators.  It
+    imports its sibling ``checks`` by name, so ``bench/`` is on the path
+    only while it loads."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads
 
 
 def random_cycle(rng: random.Random, n: int, m: int, labels: list[int]) -> EdgeLabeledGraph:

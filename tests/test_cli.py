@@ -749,6 +749,14 @@ class TestConstruct:
             (["1", "6", "1"], "rank 1 needs at least 3 vertices, got 1"),
             (["0", "6", "1"], "rank 1 needs at least 3 vertices, got 0"),
             (["3", "0", "2"], "modulus 0 is not a positive integer"),
+            # 1 has no prime factor, so it is not called a prime power
+            (["4", "1", "2"], "modulus 1 has no prime factor; a coprime split needs two distinct primes"),
+            (["4", "1", "1"], "modulus 1 has no prime factor; rank 1 needs two distinct primes"),
+            (["3", "8", "2"], "modulus 8 is a prime power; a coprime split needs two distinct primes"),
+            # with no vertex the range 1..N is empty
+            (["-3", "30", "2"], "need at least 1 vertex, got -3"),
+            (["0", "30", "0"], "need at least 1 vertex, got 0"),
+            (["1", "30", "2"], "rank 2 is outside 1..1"),
         ],
     )
     def test_input_error_message(self, capsys, argv, message):
@@ -762,6 +770,24 @@ class TestConstruct:
 
         G = parse_graph("\n".join(l for l in out.splitlines() if not l.startswith("#")))
         assert G.modulus == 30
+
+    def test_rank_needs_no_smith_form(self, capsys, monkeypatch):
+        # the rank comes from the rank formula (THEORY.md, lemma 2)
+        def refuse(G, *rest):
+            raise AssertionError("construct solved its graph")
+
+        for name in ("invariant_factors", "normalized_module"):
+            monkeypatch.setattr(engine, name, refuse)
+            monkeypatch.setattr(cli, name, refuse)
+        for n, m, k in ((3, 30, 1), (4, 6, 1), (9, 6, 1), (2, 6, 2), (5, 30, 3), (8, 210, 8)):
+            report = run_json(capsys, ["construct", str(n), str(m), str(k)])
+            assert report["verified_rank"] == k
+
+    @pytest.mark.slow
+    def test_twenty_thousand_vertices(self, capsys):
+        report = run_json(capsys, ["construct", "20000", "30", "3"])
+        assert report["verified_rank"] == 3
+        assert len(report["instance"]["vertices"]) == 20000
 
     def test_rank_differs_from_target_exit_4(self, capsys, monkeypatch):
         original = construct_mod.build_rank_k
@@ -1274,6 +1300,38 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "UTF-8" in captured.err
         assert captured.out == ""
+
+    def test_not_utf8_names_the_byte_in_the_file(self, capsys, tmp_path):
+        # a byte-order mark counts toward the offset, as in the file itself
+        head = b"mod 6\nvertices a b\nedge a b "
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "bad.graph"
+            path.write_bytes(mark + head + b"\xff\n")
+            assert cli.main(["solve", str(path)]) == 2
+            at = len(mark + head)
+            assert capsys.readouterr() == (
+                "", f"error: {path} is not UTF-8: invalid start byte at byte {at}\n"
+            )
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("tri.graph", "mod 36\nvertices a b c\nedge a b 6\nedge b c 4\nedge a c 9\n"),
+            ("tri.json", '{"mod": 36, "vertices": ["a", "b", "c"], '
+             '"edges": [["a", "b", 6], ["b", "c", 4], ["a", "c", 9]]}'),
+        ],
+    )
+    def test_byte_order_mark_accepted(self, capsys, tmp_path, name, text):
+        plain = tmp_path / name
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / ("bom-" + name)
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        for argv in (["solve"], ["solve", "--json"]):
+            assert cli.main(argv + [str(plain)]) == 0
+            expected = capsys.readouterr()
+            assert cli.main(argv + [str(marked)]) == 0
+            assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize(
         "name, text",

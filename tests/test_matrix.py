@@ -8,6 +8,7 @@ from splinemod.decompose import decompose
 from splinemod.graph import EdgeLabeledGraph
 from splinemod.matrix import IntMatrix, snf
 from support import (
+    bench_workloads,
     det,
     matmul,
     random_connected_graph,
@@ -372,6 +373,38 @@ class TestSnf:
         # prime powers and composites; a prime component normalizes to an
         # edgeless graph, whose module is taken in closed form, not here
         assert {8, 9, 25, 12, 30} <= {m for _, m, _, _ in calls}
+        for A, m, d, V in calls:
+            ref_d, _, ref_V = reference_snf(A)
+            assert d == ref_d
+            assert V == reduced(ref_V, m)
+
+    def test_matches_reference_at_workload_scale(self, monkeypatch):
+        # Every Smith form the engine takes on the benchmark's four cycle
+        # families at 12 to 40 vertices, and on random graphs of up to 30
+        # vertices whose moduli have five or six primes.  Ties for the
+        # least |entry| within a row are common here, and so are trailing
+        # blocks whose gcd the pivot does not divide.
+        workloads = bench_workloads()
+        calls = []
+
+        def recording(A, m):
+            d, V = snf(A, m)
+            calls.append((A, m, d, V))
+            return d, V
+
+        monkeypatch.setattr(engine, "snf", recording)
+        rng = random.Random(28)
+        graphs = []
+        for _, make, _ in workloads.CYCLE_FAMILIES:
+            for n in (12, 24, 32, 40):
+                graphs.append(make(rng, n, *rng.choice(workloads.CYCLE_BINS)))
+        for n in range(6, 31, 3):
+            m = workloads.squarefree(rng, 5 + n % 2)
+            graphs.append(workloads.random_graph(rng, n, rng.randint(n, 2 * n), m))
+        for g in graphs:
+            engine.invariant_factors(EdgeLabeledGraph(g.modulus, tuple(g.names), g.edges))
+        assert len(calls) == len(graphs)
+        assert max(A.nrows for A, _, _, _ in calls) == 40
         for A, m, d, V in calls:
             ref_d, _, ref_V = reference_snf(A)
             assert d == ref_d

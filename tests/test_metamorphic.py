@@ -75,19 +75,6 @@ def elementary_divisors(factors) -> list[int]:
     return sorted(q for d in factors for q in factorize(d).prime_powers())
 
 
-def components(n: int, edges) -> int:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    return len({find(x) for x in range(n)})
-
-
 def test_disjoint_union_unions_elementary_divisors():
     for rng, G in seeded_graphs(79):
         m, n = G.modulus, G.n
@@ -103,20 +90,6 @@ def test_disjoint_union_unions_elementary_divisors():
         assert elementary_divisors(crt_factors(union)) == sorted(
             elementary_divisors(crt_factors(G)) + elementary_divisors(crt_factors(H))
         )
-
-
-def test_rank_counts_components_of_zero_edges():
-    # Mod p^a, with p^a exactly dividing m, the edges whose labels p^a
-    # divides force equality, so the component module sits in a free module
-    # with one coordinate per class.  Every other edge's modulus divides
-    # p^(a-1), so p^(a-1) on one class alone is a spline.  The component's
-    # rank is the number of classes, and the rank mod m the largest of them.
-    for _, G in seeded_graphs(83):
-        expected = max(
-            components(G.n, [(u, v) for u, v, label in G.edges if label % q == 0])
-            for q in factorize(G.modulus).prime_powers()
-        )
-        assert invariant_factors(G).rank == expected
 
 
 def test_extension_order_is_kernel_times_image():

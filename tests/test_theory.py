@@ -3,10 +3,10 @@ reference that shares no code with the computation it checks."""
 
 import random
 
-from splinemod.arith import coprime_base, is_prime
-from splinemod.engine import integer_lattice
+from splinemod.arith import coprime_base, factorize, is_prime
+from splinemod.engine import forest_rank, integer_lattice, invariant_factors
 from splinemod.graph import EdgeLabeledGraph, normalize
-from support import reference_flow_up
+from support import random_connected_graph, reference_flow_up
 
 # (modulus, label pool).  Every pool holds a zero label or, mod m, a label
 # that is a multiple of m, and most hold a unit; a graph draws with
@@ -74,3 +74,63 @@ class TestAnchorBasis:
         B = integer_lattice(gnorm)
         assert B.columns() == [(1, 1, 1, 1), (0, 6, 24, 0), (0, 0, 36, 0), (0, 0, 0, 12)]
         assert B == reference_flow_up(gnorm)
+
+
+# (modulus, label pool) for lemma 2: m = 1, prime powers, squarefree and
+# mixed moduli.  Every pool but m = 1's holds a zero label (0 or m) and a
+# unit; 26620 = 2^2 * 5 * 11^3 and 2^4 * 3^4 have prime powers whose
+# subgraphs differ.
+RANK_POOLS = [
+    (1, range(3)),
+    (2, range(4)),
+    (8, range(9)),
+    (27, range(28)),
+    (64, range(65)),
+    (30, range(31)),
+    (210, range(211)),
+    (2310, [0, 1, 2, 3, 5, 7, 11, 6, 10, 15, 35, 77, 210, 2310]),
+    (12, range(13)),
+    (72, range(73)),
+    (360, range(361)),
+    (1296, [0, 1, 2, 16, 81, 48, 54, 432, 1296, 5]),
+    (26620, [0, 1, 220, 2662, 26620, 1210, 110, 484, 2420]),
+]
+
+
+def component_count(n: int, pairs) -> int:
+    """Components of the graph on 0..n-1 with edges ``pairs``, by
+    relabeling: each pair gives one side's label to the other's class."""
+    label = list(range(n))
+    for u, v in pairs:
+        a, b = label[u], label[v]
+        if a != b:
+            label = [a if x == b else x for x in label]
+    return len(set(label))
+
+
+class TestRankFormula:
+    """Lemma 2: the rank is the most components of any H_q."""
+
+    def test_matches_the_smith_rank(self):
+        rng = random.Random(28)
+        small = [random_graph(rng, *RANK_POOLS[t % len(RANK_POOLS)]) for t in range(3000)]
+        # and connected graphs of 3 to 24 vertices over two to six primes
+        larger = []
+        for t in range(48):
+            m = (12, 30, 36, 60, 180, 210, 360, 420, 1260, 2310, 2520, 30030)[t % 12]
+            n = rng.randrange(3, 25)
+            larger.append(random_connected_graph(rng, n, m, rng.randrange(n), list(range(m))))
+        disconnected = parallel = 0
+        for G in small + larger:
+            m = G.modulus
+            expected = max(
+                (
+                    component_count(G.n, [(u, v) for u, v, l in G.edges if l % q == 0])
+                    for q in factorize(m).prime_powers()
+                ),
+                default=0,
+            )
+            assert forest_rank(G) == expected == invariant_factors(G).rank, G
+            disconnected += component_count(G.n, [(u, v) for u, v, _ in G.edges]) > 1
+            parallel += len({(min(u, v), max(u, v)) for u, v, _ in G.edges}) < len(G.edges)
+        assert disconnected > 1000 and parallel > 500

@@ -72,7 +72,11 @@ def cycle_instance(G: EdgeLabeledGraph) -> CycleInstance:
         adj[u].append((v, g))
         adj[v].append((u, g))
     if n < 3 or any(len(nb) != 2 for nb in adj) or not is_connected(G):
-        raise SplineError(f"graph with {n} vertices and {len(G.edges)} edges is not an n-cycle")
+        e = len(G.edges)
+        raise SplineError(
+            f"graph with {n} vert{'ex' if n == 1 else 'ices'} and {e} edge{'' if e == 1 else 's'}"
+            " is not an n-cycle"
+        )
     # Walk from v1 toward its lower-indexed neighbor (deterministic).
     order, labels = [0], []
     for p in range(n):

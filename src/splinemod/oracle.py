@@ -5,11 +5,14 @@ full vertex-labeling space, spans are found by closure under addition, and
 invariant factors are reconstructed from an order census.  Nothing is shared
 with the lattice path, so agreement between the two is meaningful.
 
-Neither search does work twice.  The labeling search steps each vertex
-through the one residue class its tightest earlier edge allows and checks
-its other edges as usual; the closure adds whole cosets of the span so far.
-Both stay exhaustive: every spline is listed and every element of the span
-is built, each exactly once.
+Neither search does work twice.  The labeling search is split at the middle
+vertex: the first half's splines are listed, and the second half is
+searched once per key, the residues a prefix shows its crossing edges, since
+prefixes with one key admit the same suffixes.  Within each half a vertex
+steps through the one residue class its tightest earlier edge allows and
+checks its other edges as usual.  The closure adds whole cosets of the span
+so far.  Both stay exhaustive: every spline is listed and every element
+of the span is built, each exactly once.
 
 The per-element work runs in C iterators.  The census counts the gcd of each
 spline's entries and turns each distinct gcd d into the order m / gcd(m, d)
@@ -77,12 +80,23 @@ def enumerate_splines(
 ) -> list[tuple[int, ...]]:
     """All splines on G in lexicographic order.
 
-    Vertices are assigned in order, and each edge is checked as soon as
-    both ends are.  An edge uv with g = gcd(label, m) and u already set
-    admits at v exactly the x with x = f_u mod g; since g divides m, they
-    are range(f_u % g, m, g).  So v steps through that class for its tightest
-    earlier edge and tests the others: the search still lists every spline,
-    in the same depth-first order, but never tries a value that edge rejects.
+    The search is split at the middle vertex s = n // 2.  The prefixes, the
+    splines of vertices 0..s-1 and the edges among them, are listed first.
+    The crossing edges, (o, k, g) with o < s <= k, read a prefix p only
+    through p[o] mod g, so two prefixes that agree on those residues (the
+    prefix's key) admit the same suffixes (THEORY.md, lemma 3).  Each key's
+    suffixes are listed once, with vertices s..n-1 searched on the first
+    prefix that reaches the key, and every prefix with that key is joined
+    to each of them.  Every key is reached by some prefix, so the suffix
+    lists together hold no more tuples than the result, and they are
+    dropped on return.
+
+    Each half is searched vertex by vertex, and each edge is checked as soon
+    as both its ends are set.  An edge uv with g = gcd(label, m) and u
+    already set admits at v exactly the x with x = f_u mod g; since g
+    divides m, they are range(f_u % g, m, g).  So v steps through that
+    class for its tightest earlier edge and tests the others: every spline
+    is still listed, but no value that edge rejects is tried.
 
     The search space is m**n; if that exceeds the budget the enumeration is
     refused outright (BudgetExceeded reports the required budget) rather than
@@ -106,15 +120,49 @@ def enumerate_splines(
         checks.sort(key=lambda c: -c[1])
         first.append(checks.pop(0) if checks else (0, 1))
 
-    # A loop, not a recursion, so the depth of the search is not bounded by
-    # Python's stack: m = 1 passes any budget on any number of vertices.
-    # candidates[k] is vertex k's range, resumed when the search backs up.
-    out: list[tuple[int, ...]] = []
+    s = n // 2
+    # The key's entries; a unit modulus reads every prefix alike.
+    crossing = {
+        (o, g) for k in range(s, n) for o, g in (first[k], *constraints[k]) if o < s and g > 1
+    }
     values = [0] * n
-    last = n - 1
-    candidates = [iter(range(m))] + [None] * last
-    k = 0
-    while k >= 0:
+    suffixes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    out: list[tuple[int, ...]] = []
+    for p in _search(constraints, first, m, 0, s, values):
+        key = tuple([p[o] % g for o, g in crossing])
+        tails = suffixes.get(key)
+        if tails is None:
+            values[:s] = p
+            tails = suffixes[key] = _search(constraints, first, m, s, n, values)
+        out.extend(map(p.__add__, tails))
+    return out
+
+
+def _search(
+    constraints: list[list[tuple[int, int]]],
+    first: list[tuple[int, int]],
+    m: int,
+    start: int,
+    stop: int,
+    values: list[int],
+) -> list[tuple[int, ...]]:
+    """The values of vertices start..stop-1, in lexicographic order, over
+    every way to set them that passes their edges to each other and to the
+    vertices before start, which read values[:start].
+
+    A loop, not a recursion, so the depth of the search is not bounded by
+    Python's stack: m = 1 passes any budget on any number of vertices.
+    candidates[k] is vertex k's range, resumed when the search backs up.
+    """
+    if start == stop:
+        return [()]
+    out: list[tuple[int, ...]] = []
+    last = stop - 1
+    candidates = [None] * stop
+    prev, step = first[start]
+    candidates[start] = iter(range(values[prev] % step, m, step))
+    k = start
+    while k >= start:
         checks = constraints[k]
         for x in candidates[k]:
             for other, g in checks:
@@ -123,7 +171,7 @@ def enumerate_splines(
             else:
                 values[k] = x
                 if k == last:
-                    out.append(tuple(values))
+                    out.append(tuple(values[start:stop]))
                     continue
                 k += 1
                 prev, step = first[k]

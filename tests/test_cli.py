@@ -343,8 +343,8 @@ class TestSolve:
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
     def test_verify_at_the_default_budget(self, monkeypatch):
         # m**n = 10**7, the default budget.  Its own process, which reports
-        # its peak RSS: about 116 MB with one set over the 625,000 splines
-        # (136 MB with a second one) on a shared 2-vCPU machine; 1-3 s.
+        # its peak RSS: about 117 MB with one set over the 625,000 splines
+        # (136 MB with a second one) on a shared 2-vCPU Xeon; about 0.5 s.
         monkeypatch.delenv("SPLINEMOD_BUDGET", raising=False)
         script = (
             "import contextlib, io, json, resource, sys\n"
@@ -369,7 +369,7 @@ class TestSolve:
 
     @pytest.mark.slow
     def test_direct_path_at_n350(self, capsys):
-        # 25-34 s and 32 MB on a shared 2-core Xeon
+        # 7-11 s and 31 MB on a shared 2-core Xeon
         path = str(GRAPHS / "n350_e1400_m30030.graph")
         start = time.perf_counter()
         direct = run_json(capsys, ["solve", path, "--direct"])

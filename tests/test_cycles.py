@@ -63,6 +63,19 @@ class TestCycleInstance:
                 )
             )
 
+    def test_message_counts_in_the_singular(self):
+        for G, expected in (
+            (EdgeLabeledGraph(6, ("a",), ()), "graph with 1 vertex and 0 edges"),
+            (EdgeLabeledGraph(6, ("a", "b"), ((0, 1, 2),)), "graph with 2 vertices and 1 edge"),
+            (
+                EdgeLabeledGraph(6, ("a", "b"), ((0, 1, 2), (1, 0, 3))),
+                "graph with 2 vertices and 2 edges",
+            ),
+        ):
+            with pytest.raises(SplineError) as exc:
+                cycle_instance(G)
+            assert str(exc.value) == expected + " is not an n-cycle"
+
     def test_two_doubled_edges_rejected(self):
         # every degree is two and there are four edges, but two components
         G = EdgeLabeledGraph(

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import pathlib
 import random
@@ -79,6 +80,89 @@ class TestEnumerate:
         G = EdgeLabeledGraph(0, ("a", "b"), ((0, 1, 2),))
         with pytest.raises(ValueError):
             enumerate_splines(G)
+
+
+class TestSplitSearch:
+    """The search splits at vertex n // 2 and searches the second half once
+    per key: the residues a prefix shows its crossing edges."""
+
+    @staticmethod
+    def graph(m, n, edges):
+        return EdgeLabeledGraph(m, tuple(f"v{i}" for i in range(n)), tuple(edges))
+
+    def test_edge_cases_match_filter(self):
+        cases = [
+            # parallel edges in both orientations, across the split and not
+            (12, 4, [(0, 1, 4), (1, 0, 6), (1, 2, 2), (2, 1, 9), (3, 2, 8), (2, 3, 3)]),
+            (6, 3, [(0, 2, 2), (2, 0, 3), (2, 0, 0), (1, 2, 1), (2, 1, 5)]),
+            # n = 7 and n = 8
+            (3, 7, [(i, i + 1, i % 3) for i in range(6)] + [(6, 0, 1), (5, 1, 0)]),
+            (2, 8, [(i, (i + 3) % 8, i % 3) for i in range(8)]),
+            # an edgeless half, first or second
+            (4, 6, [(3, 4, 2), (4, 5, 0), (5, 3, 2)]),
+            (4, 6, [(0, 1, 2), (1, 2, 0)]),
+            (5, 4, []),
+            # crossing edges with the zero ideal: every prefix has its own key
+            (6, 4, [(0, 1, 2), (0, 2, 0), (1, 3, 6), (2, 3, 3)]),
+            # crossing edges that are all units: one key
+            (6, 4, [(0, 1, 2), (0, 2, 1), (1, 3, 5), (1, 2, 7), (2, 3, 3)]),
+        ]
+        for m, n, edges in cases:
+            G = self.graph(m, n, edges)
+            assert enumerate_splines(G) == naive_splines(G), G
+
+    def test_random_parallel_edges_match_filter(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            m = rng.choice([m for m in range(1, 61) if m**n <= 5 * 10**3])
+            edges = []
+            for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+                u, v = rng.sample(range(n), 2)
+                label = rng.choice((0, 1, rng.randrange(m + 3)))
+                edges += [(u, v, label)] + [(v, u, rng.randrange(m + 3))] * rng.randint(0, 1)
+            G = self.graph(m, n, edges)
+            assert enumerate_splines(G) == naive_splines(G), G
+
+    def test_one_suffix_search_per_key(self, monkeypatch):
+        suffix_searches = []  # the start vertex of each search past vertex 0
+        search = oracle._search
+
+        def counting(constraints, first, m, start, stop, values):
+            if start:
+                suffix_searches.append(start)
+            return search(constraints, first, m, start, stop, values)
+
+        monkeypatch.setattr(oracle, "_search", counting)
+        # a 4-vertex mod-12 path whose crossing edge v1 v2 is a unit: one key
+        G = self.graph(12, 4, [(0, 1, 4), (1, 2, 5), (2, 3, 6)])
+        assert enumerate_splines(G) == naive_splines(G)
+        assert suffix_searches == [2]
+        # zero ideals from both prefix vertices: every prefix its own key
+        suffix_searches.clear()
+        G = self.graph(6, 4, [(0, 1, 2), (0, 2, 0), (1, 3, 6)])
+        splines = enumerate_splines(G)
+        assert splines == naive_splines(G)
+        assert len(suffix_searches) == len({f[:2] for f in splines}) == 18
+
+    def test_imports_nothing_from_the_solvers(self):
+        # the oracle is the independent path: of splinemod it may use only
+        # factorize, the error classes and the graph type
+        allowed = {"arith": {"factorize"}, "graph": {"EdgeLabeledGraph"}}
+        tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "splinemod" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level == 0:
+                    if module.split(".")[0] != "splinemod":
+                        continue  # the standard library
+                    module = module.removeprefix("splinemod").lstrip(".")
+                if module == "errors":
+                    continue
+                names = {a.name for a in node.names}
+                assert names <= allowed.get(module, set()), ast.unparse(node)
 
 
 class TestAdditiveOrder:

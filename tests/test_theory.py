@@ -2,6 +2,9 @@
 reference that shares no code with the computation it checks."""
 
 import random
+from collections import defaultdict
+from itertools import product
+from math import gcd
 
 from splinemod.arith import coprime_base, factorize, is_prime
 from splinemod.engine import forest_rank, integer_lattice, invariant_factors
@@ -134,3 +137,47 @@ class TestRankFormula:
             disconnected += component_count(G.n, [(u, v) for u, v, _ in G.edges]) > 1
             parallel += len({(min(u, v), max(u, v)) for u, v, _ in G.edges}) < len(G.edges)
         assert disconnected > 1000 and parallel > 500
+
+
+def desk_graph(rng: random.Random) -> EdgeLabeledGraph:
+    """1 to 8 vertices with m**n at most 5,000 and up to twice as many
+    edges, parallel ones included; labels are zero, units or any residue."""
+    n = rng.randint(1, 8)
+    m = rng.choice([m for m in range(1, 61) if m**n <= 5 * 10**3])
+    edges = []
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice((0, 1, m - 1, rng.randrange(m + 3)))))
+    return EdgeLabeledGraph(m, tuple(f"v{i}" for i in range(n)), tuple(edges))
+
+
+class TestSplitSearch:
+    """Lemma 3: prefixes with one key admit the same suffixes."""
+
+    def test_equal_keys_admit_equal_suffixes(self):
+        rng = random.Random(29)
+        parallel = disconnected = zero = unit = shared = 0
+        for _ in range(1200):
+            G = desk_graph(rng)
+            m, n = G.modulus, G.n
+            moduli = [(min(u, v), max(u, v), gcd(label, m)) for u, v, label in G.edges]
+            splines = [
+                f
+                for f in product(range(m), repeat=n)
+                if all((f[a] - f[b]) % g == 0 for a, b, g in moduli)
+            ]
+            for s in range(n + 1):
+                tails = defaultdict(set)
+                for f in splines:
+                    tails[f[:s]].add(f[s:])
+                crossing = [(a, g) for a, b, g in moduli if a < s <= b]
+                by_key = {}
+                for p, suffixes in tails.items():
+                    key = tuple(p[a] % g for a, g in crossing)
+                    assert by_key.setdefault(key, suffixes) == suffixes, (G, s, p)
+                shared += len(by_key) < len(tails)
+            parallel += len({(a, b) for a, b, _ in moduli}) < len(moduli)
+            disconnected += component_count(n, [(a, b) for a, b, _ in moduli]) > 1
+            zero += m > 1 and any(g == m for _, _, g in moduli)
+            unit += m > 1 and any(g == 1 for _, _, g in moduli)
+        assert min(parallel, disconnected, zero, unit) > 400 and shared > 1000

@@ -16,11 +16,14 @@ of the span is built, each exactly once.
 
 The per-element work runs in C iterators.  The census counts the gcd of each
 spline's entries and turns each distinct gcd d into the order m / gcd(m, d)
-once.  The closure holds a coset as one column per coordinate and shifts a
-column by looking each entry up in a table of (a + g_i) mod m.  The span
-check keeps no closure of its own: it strikes each coset off the one hash
-set it builds over the splines and answers False at the first coset that
-holds a non-spline.
+once.  The closure holds a coset as one column per coordinate.  When
+m <= 256 every residue fits in a byte, so a column is a bytes object and
+is shifted by g_i with one bytes.translate through a 256-byte table of
+(a + g_i) mod m; past 256 a column is a list, shifted by looking each
+entry up in a table filled as residues are met.  The span check keeps no
+closure of its own: it strikes each coset off the one hash set it builds
+over the splines and answers False at the first coset that holds a
+non-spline.
 
 The census and the span check take the splines as `enumerate_splines`
 returns them, a list in strict lexicographic order, and answer their few
@@ -42,10 +45,11 @@ import os
 import random
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain, starmap
 from math import gcd, lcm, prod
+from operator import add, methodcaller
 
 from .arith import factorize
 from .errors import BudgetExceeded, InternalInconsistency, SplineError
@@ -209,10 +213,9 @@ def fingerprint(splines: Sequence[tuple[int, ...]], m: int) -> ModuleFingerprint
     if splines[0] != (0,) * n:
         raise InternalInconsistency("zero vector missing")
     rng = random.Random(0xC0FFEE)
-    for _ in range(min(64, len(splines) ** 2)):
-        a = rng.choice(splines)
-        b = rng.choice(splines)
-        s = tuple((x + y) % m for x, y in zip(a, b))
+    picks = rng.choices(splines, k=2 * min(64, len(splines) ** 2))
+    for a, b in zip(picks[::2], picks[1::2]):
+        s = tuple(map(m.__rmod__, map(add, a, b)))
         if not _holds(splines, s):
             raise InternalInconsistency(f"{a} + {b} leaves the set")
 
@@ -277,6 +280,25 @@ class _Shift(dict):
         return b
 
 
+def _translate(step: int, m: int) -> Callable[[bytes], bytes]:
+    """Shift a byte column by step mod m (m <= 256): one bytes.translate
+    through the table a -> (a + step) mod m, built from three slices."""
+    return methodcaller(
+        "translate", bytes(range(step, m)) + bytes(range(step)) + bytes(range(m, 256))
+    )
+
+
+def _map_shift(step: int, m: int) -> Callable[[list[int]], list[int]]:
+    """Shift a list column by step mod m, through a _Shift table."""
+    shift = _Shift(step, m).__getitem__
+    return lambda col: list(map(shift, col))
+
+
+def _chain_list(cols: Sequence[list[int]]) -> list[int]:
+    """The list columns of several cosets, joined end to end."""
+    return list(chain.from_iterable(cols))
+
+
 def _holds(splines: Sequence[tuple[int, ...]], x: tuple[int, ...]) -> bool:
     """Whether x is in the sorted list: True only if it is found there."""
     i = bisect_left(splines, x)
@@ -309,10 +331,16 @@ def span_equals(
     breadth-first search builds it once per generator.  It stays brute
     force: it uses only addition and membership.
 
-    A coset is held as n columns.  Column i is shifted through a table
-    a -> (a + g_i) mod m, one per generator and column, filled as residues
-    are met, so it never outgrows its column however large m is; a column
-    with g_i = 0 is kept as it is.  The rows of the columns are the elements.
+    A coset is held as n columns, whose rows are the elements; a column
+    with g_i = 0 is kept as it is.  The column kind is chosen once per call.
+    When m <= 256 a residue fits in one byte: a column is bytes, a
+    closure's cosets are joined with b"".join, and column i is shifted by
+    one bytes.translate through the 256-byte table a -> (a + g_i) mod m,
+    so the shift runs in C without a lookup per entry.  Past 256 a byte
+    cannot hold a residue: a column is a list, shifted entry by entry
+    through a table a -> (a + g_i) mod m filled as residues are met, so it
+    never outgrows its column however large m is.  Either way zip over the
+    columns yields the same tuples.
 
     Whether a generator or a multiple is already in the closure is asked
     of the set and then, for a vector it no longer holds, of the list by
@@ -334,23 +362,24 @@ def span_equals(
         # the members less remaining
         return x not in remaining and _holds(splines, x)
 
-    parts = [[[0]] * len(zero)]  # the closure so far, as the columns of its cosets
+    if m <= 256:
+        origin, flatten, shifter = b"\0", b"".join, _translate
+    else:
+        origin, flatten, shifter = [0], _chain_list, _map_shift
+    parts = [[origin] * len(zero)]  # the closure so far, as the columns of its cosets
     size = 1
     for g in generators:
         g = tuple(x % m for x in g)
         if built(g):
             continue
-        coset = [list(chain.from_iterable(col)) for col in zip(*parts)]
+        coset = [flatten(col) for col in zip(*parts)]
         parts = [coset]
-        shifts = [_Shift(x, m).__getitem__ if x else None for x in g]
+        shifts = [shifter(x, m) if x else None for x in g]
         base, multiple = size, g
         while not built(multiple):
             if size + base > cap:
                 raise BudgetExceeded(size + base, cap)
-            coset = [
-                list(map(shift, col)) if shift else col
-                for shift, col in zip(shifts, coset)
-            ]
+            coset = [shift(col) if shift else col for shift, col in zip(shifts, coset)]
             left = len(remaining)
             remaining.difference_update(zip(*coset))
             if left - len(remaining) < base:

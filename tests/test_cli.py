@@ -343,8 +343,9 @@ class TestSolve:
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
     def test_verify_at_the_default_budget(self, monkeypatch):
         # m**n = 10**7, the default budget.  Its own process, which reports
-        # its peak RSS: about 117 MB with one set over the 625,000 splines
-        # (136 MB with a second one) on a shared 2-vCPU Xeon; about 0.5 s.
+        # its peak RSS: about 111 MB with one set over the 625,000 splines
+        # and the span check's cosets in byte columns (136 MB with a second
+        # set) on a shared 2-vCPU Xeon; about 0.5 s.
         monkeypatch.delenv("SPLINEMOD_BUDGET", raising=False)
         script = (
             "import contextlib, io, json, resource, sys\n"

@@ -218,6 +218,11 @@ class TestFingerprint:
         bad = [(0, 0), (1, 0)]  # not closed under addition mod 4
         with pytest.raises(InternalInconsistency):
             fingerprint(bad, 4)
+        # closed under doubling, and its census (four elements killed by
+        # 2) is a group's: only a sum of two different elements leaves it
+        bad = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        with pytest.raises(InternalInconsistency):
+            fingerprint(bad, 2)
 
     def test_missing_zero(self):
         with pytest.raises(InternalInconsistency):
@@ -295,6 +300,19 @@ def random_desk_graph(rng, limit):
     return EdgeLabeledGraph(m, tuple(f"v{i}" for i in range(n)), edges)
 
 
+def random_wide_graph(rng, m=None):
+    """A graph on one or two vertices, with m near 256, where the span check
+    changes column kind, or in the thousands; at most 16 m splines, and
+    labels up to 3m."""
+    if m is None:
+        m = rng.choice((255, 256, 257, 3000))
+    if rng.random() < 0.3:
+        return EdgeLabeledGraph(m, ("v0",), ())
+    fan = 16 if m < 1000 else 3  # splines per value of v0
+    g = rng.choice([d for d in range(1, m + 1) if m % d == 0 and m // d <= fan])
+    return EdgeLabeledGraph(m, ("v0", "v1"), ((0, 1, g + m * rng.randint(0, 2)),))
+
+
 class TestAgainstNaiveReferences:
     def test_enumerate_matches_filter(self):
         rng = random.Random(11)
@@ -348,8 +366,8 @@ class TestAgainstNaiveReferences:
         # is not the span
         rng = random.Random(17)
         refused = 0
-        for _ in range(100):
-            G = random_desk_graph(rng, 5 * 10**3)
+        for k in range(130):
+            G = random_desk_graph(rng, 5 * 10**3) if k < 100 else random_wide_graph(rng)
             m, n = G.modulus, G.n
             splines = enumerate_splines(G)
             mgs = list(invariant_factors(G).mgs)
@@ -409,9 +427,11 @@ class TestAgainstNaiveReferences:
         assert exc.value.required == 51
 
     def test_empty_generator_list(self):
-        assert naive_span([], 7, 3) == {(0, 0, 0)}
-        assert span_equals([], [(0, 0, 0)], 7)
-        assert not span_equals([], [(0, 0, 0), (1, 1, 1)], 7)
+        # 256 holds its columns as bytes, 257 as lists
+        for m in (7, 256, 257):
+            assert naive_span([], m, 3) == {(0, 0, 0)}
+            assert span_equals([], [(0, 0, 0)], m)
+            assert not span_equals([], [(0, 0, 0), (1, 1, 1)], m)
 
     def test_budget_boundary(self):
         rng = random.Random(13)
@@ -437,3 +457,95 @@ class TestAgainstNaiveReferences:
             assert additive_order(v, m) == naive_order(v, m), (v, m)
         assert additive_order((), 12) == naive_order((), 12) == 1
         assert additive_order((-4, -6), 12) == naive_order((-4, -6), 12) == 6
+
+
+class TestColumnKinds:
+    """Up to m = 256 the span check holds a coset column as bytes and
+    shifts it with bytes.translate; past 256 as a list shifted through a
+    _Shift table.  Doubling every residue carries a span mod m into one
+    mod 2m with the same cosets, built in the same order."""
+
+    @staticmethod
+    def outcome(gens, splines, m, budget):
+        try:
+            return span_equals(gens, splines, m, budget)
+        except BudgetExceeded as exc:
+            return ("over", exc.required)
+
+    def test_both_kinds_answer_alike(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            m = rng.choice((255, 256))
+            G = random_wide_graph(rng, m)
+            n = G.n
+            splines = enumerate_splines(G)
+            # a few splines, each entry moved by a multiple of m, so some
+            # entries are negative and some at least m
+            gens = [
+                tuple(x + m * rng.randint(-2, 2) for x in rng.choice(splines))
+                for _ in range(rng.randint(0, 3))
+            ]
+            closure = sorted(naive_span(gens, m, n))
+            size = len(closure)
+            lists = [splines, closure, closure[:1] + closure[2:]]
+            for members in lists:
+                doubled = [tuple(2 * x for x in v) for v in members]
+                for budget in {0, 1, size - 1, size, rng.randint(1, size), 10**7}:
+                    byte_kind = self.outcome(gens, members, m, budget)
+                    list_kind = self.outcome([tuple(2 * x for x in g) for g in gens], doubled, 2 * m, budget)
+                    assert byte_kind == list_kind, (G, gens, members, budget)
+            # the closure itself: True at its own size, over one below it
+            for scale in (1, 2):
+                big = [tuple(scale * x for x in g) for g in gens]
+                whole = [tuple(scale * x for x in v) for v in closure]
+                assert span_equals(big, whole, scale * m, budget=size)
+                if size > 1:
+                    assert self.outcome(big, whole, scale * m, size - 1) == ("over", size)
+
+    def test_matches_breadth_first_closure(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            G = random_wide_graph(rng)
+            m, n = G.modulus, G.n
+            splines = enumerate_splines(G)
+            # a vector of prime order q, often not a spline: a random one
+            # would span up to m**2 elements
+            q = next(p for p in range(2, m + 1) if m % p == 0)
+            pool = [
+                rng.choice(splines),
+                (0,) * n,
+                tuple(x + m * rng.randint(-2, 2) for x in rng.choice(splines)),
+                tuple(m // q * rng.randrange(-q, 2 * q) for _ in range(n)),
+            ]
+            gens = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+            mgs = list(invariant_factors(G).mgs)
+            for gs in (gens, mgs):
+                expected = naive_span(gs, m, n)
+                assert span_equals(gs, sorted(expected), m), (G, gs)
+                assert span_equals(gs, splines, m) == (expected == set(splines)), (G, gs)
+
+    def test_a_shift_table_only_past_256(self, monkeypatch):
+        shift = oracle._Shift
+
+        class Refused(shift):
+            def __init__(self, step, m):
+                raise AssertionError(f"a _Shift table for m = {m}")
+
+        monkeypatch.setattr(oracle, "_Shift", Refused)
+        for m in (2, 255, 256):
+            line = [(k, -k % m) for k in range(m)]
+            assert span_equals([(1, -1), (m + 1, 2 * m - 1)], line, m)
+            assert not span_equals([(1, 0)], line, m)
+
+        made = []
+
+        class Counted(shift):
+            def __init__(self, step, m):
+                made.append((step, m))
+                super().__init__(step, m)
+
+        monkeypatch.setattr(oracle, "_Shift", Counted)
+        for m in (257, 3000):
+            line = [(k, -k % m) for k in range(m)]
+            assert span_equals([(1, -1)], line, m)
+        assert made == [(1, 257), (256, 257), (1, 3000), (2999, 3000)]

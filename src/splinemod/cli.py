@@ -258,28 +258,28 @@ def _json_text(value) -> str:
     strs, None, True and False are written directly; any other scalar goes
     through ``json.dumps``.  The bulk of a report is written in whole-list
     passes, with no Python call per element: names by the string encoder
-    ``json.dumps`` uses, vectors and edges by ``_rows``.  A vector set the
+    ``json.dumps`` uses, a list of ints by one fill of its ``_template``,
+    and a plain row set (edges, reduced labels, dropped units) by one fill
+    of a template for the whole set in ``_plain_rows``.  A vector set the
     solvers made is an ``engine.IntVectors``, whose entries were checked
-    to be plain ints where it was made, so its rows skip the copy, the
-    length check and the per-entry type check and go straight to
-    ``_int_rows``.  Reports repeat their vectors, so two memos, fresh for
-    each call, save formatting them again:
+    to be plain ints where it was made, so its rows skip the length check
+    and the per-entry type check and go straight to ``_int_rows``.
+    Reports repeat their vectors, so two memos, fresh for each call, save
+    formatting them again:
 
     * a row-set memo maps ``id`` of each row-set container (an
-      ``IntVectors``, or a list or tuple whose rows ``_rows`` accepts) to
+      ``IntVectors``, or a list or tuple that ``_plain_rows`` accepts) to
       the container, the indent it was written at and its text.  The
       container is kept so that its id cannot be reused.  Met again at the
       same indent, the text is reused as it is; met deeper, as
       ``text.replace("\\n", "\\n" + pad)``, which is exact because a line
       break in that text only ever starts an indentation (ints and encoded
       strings hold no raw newline); met shallower, it is written again.
-    * a row memo maps the indent that closes an int row to ``{row: text}``,
-      so a new container over the same rows (the display set is a new
-      container over the generating set's rows) formats each distinct row
-      once per depth.  It only ever holds rows of plain ints, whichever
-      path added them: a plain row set enters it only after the type check
-      passes, since ``(True,) == (1,)`` prints differently, so a plain row
-      set that holds ``True`` still takes the checked path.
+    * a row memo, which serves ``IntVectors`` alone, maps the indent that
+      closes an int row to ``{row: text}``, so a new container over the
+      same rows (the display set is a new container over the generating
+      set's rows) formats each distinct row once per depth.  A plain row
+      set never enters it, since ``(True,) == (1,)`` prints differently.
     """
     out: list[str] = []
     _write(value, "\n", out, {}, {})
@@ -328,7 +328,7 @@ def _write(
     if not trusted:
         kinds = set(map(type, value))
         if kinds == {int}:
-            out.append(next(_rows((value,), indent, memo)))
+            out.append(_template(len(value), indent) % tuple(value))
             return
         if kinds == {str}:
             out.append("[" + inner + ("," + inner).join(map(_encode, value)) + indent + "]")
@@ -340,9 +340,11 @@ def _write(
             pad = indent[len(at):]
             out.append(text.replace("\n", "\n" + pad) if pad else text)
             return
-        rows = _int_rows(value, inner, memo) if trusted else _rows(value, inner, memo)
-        if rows is not None:
-            text = "[" + inner + ("," + inner).join(rows) + indent + "]"
+        if trusted:
+            text = "[" + inner + ("," + inner).join(_int_rows(value, inner, memo)) + indent + "]"
+        else:
+            text = _plain_rows(value, indent)
+        if text is not None:
             sets[id(value)] = (value, indent, text)
             out.append(text)
             return
@@ -361,34 +363,35 @@ def _template(width: int, indent: str) -> str:
 
 
 def _int_rows(rows, indent: str, memo: dict[str, dict[tuple[int, ...], str]]):
-    """The texts of equal-length, nonempty tuples of plain ints closed by
-    ``indent``, each distinct row formatted once per indent through the
-    row memo.  The caller has checked the rows, or holds an ``IntVectors``."""
+    """The texts of the rows of an ``IntVectors`` (equal-length, nonempty
+    tuples of plain ints) closed by ``indent``, each distinct row formatted
+    once per indent through the row memo."""
     texts = memo.setdefault(indent, {})
     new = set(rows).difference(texts)
     texts.update(zip(new, map(_template(len(rows[0]), indent).__mod__, new)))
     return map(texts.__getitem__, rows)
 
 
-def _rows(rows, indent: str, memo: dict[str, dict[tuple[int, ...], str]]):
-    """The texts of equal-length, nonempty rows closed by ``indent``, one
-    ``%s`` template filled per row; None unless each column holds only plain
-    ints or only plain strs.  All-int rows go to ``_int_rows`` only after
-    the whole set passes that check, since ``(True,) == (1,)`` prints
-    differently."""
-    rows = tuple(map(tuple, rows))
-    if len(set(map(len, rows))) > 1 or not rows[0]:
+def _plain_rows(rows, indent: str) -> str | None:
+    """The text of a plain row set closed by ``indent``: equal-length,
+    nonempty rows whose columns each hold only plain ints or only plain
+    strs, flattened once and written with one fill of a template that
+    repeats the row template.  None for any other set, so a column that
+    holds ``True`` or ``2.0`` falls back to the recursive writer."""
+    width = len(rows[0])
+    if not width or len(set(map(len, rows))) > 1:
         return None
-    if set(map(type, chain.from_iterable(rows))) == {int}:
-        return _int_rows(rows, indent, memo)
-    columns = list(zip(*rows))
-    for i, column in enumerate(columns):
-        kinds = set(map(type, column))
-        if kinds == {str}:
-            columns[i] = map(_encode, column)
-        elif kinds != {int}:
-            return None
-    return map(_template(len(rows[0]), indent).__mod__, zip(*columns))
+    flat = list(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int}:
+        for i in range(width):
+            kinds = set(map(type, flat[i::width]))
+            if kinds == {str}:
+                flat[i::width] = map(_encode, flat[i::width])
+            elif kinds != {int}:
+                return None
+    inner = indent + "  "
+    row = _template(width, inner)
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + indent + "]") % tuple(flat)
 
 
 def _vec(v) -> str:

@@ -15,6 +15,7 @@ are always reported on the caller's vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from math import gcd, lcm
 
 from .arith import additive_order, factorize
@@ -211,7 +212,7 @@ def coprime_order_classes(m: int, m1: int, m2: int) -> tuple[int, int]:
 
 def leading_index(vec: Vec) -> int:
     """Index of the first nonzero entry (the leading vertex), len(vec) if none."""
-    return next((i for i, x in enumerate(vec) if x), len(vec))
+    return next(compress(count(), vec), len(vec))
 
 
 def mgs_merge(B: GeneratingSet, m: int, factors: tuple[int, ...]) -> GeneratingSet:

@@ -332,15 +332,18 @@ def normalize(G: EdgeLabeledGraph) -> tuple[EdgeLabeledGraph, NormalizationRepor
 
     Each edge's modulus g = gcd(label, m) is read from ``G.conditions``,
     the single derivation every solver shares; only the brute-force oracle
-    takes its own gcd.  Unit edges (g = 1) are dropped, and the other input
-    edges are grouped by the pair of merge classes they join.  A group's
-    combined ideal is the intersection of its members', the lcm of their g;
-    where that is m, the zero ideal, the two classes merge: merge classes
-    from ``components`` over the zero pairs, then regroup, until no lcm is
-    m.  Each remaining group becomes one edge labeled by its lcm, so the
-    result is idempotent, and a group of two or more input edges is
-    reported as a collapsed parallel edge under its pair of class
-    representatives (their least original indices).
+    takes its own gcd.  Unit edges (g = 1) are dropped.  Zero edges
+    (g == m: the zero ideal, which forces equality) merge their ends first,
+    in one ``components`` pass.  Then the other input edges are grouped by
+    the pair of merge classes they join.  A group's combined ideal is the
+    intersection of its members', the lcm of their g; where that is m, the
+    two classes merge too, and the edges are regrouped, until no lcm is m.
+    The partition this reaches is the least one closed under that rule, so
+    merging the zero edges first changes no result.  Each remaining group
+    becomes one edge labeled by its lcm, so the result is idempotent, and a
+    group of two or more input edges is reported as a collapsed parallel
+    edge under its pair of class representatives (their least original
+    indices).
     """
     m = G.modulus
     n = G.n
@@ -353,8 +356,8 @@ def normalize(G: EdgeLabeledGraph) -> tuple[EdgeLabeledGraph, NormalizationRepor
         else:
             work.append(condition)
 
-    root = list(range(n))
-    merged: list[tuple[int, int]] = []
+    merged = [(u, v) for u, v, g in work if g == m]
+    root = components(n, merged) if merged else list(range(n))
     while True:
         groups: dict[tuple[int, int], list[int]] = {}
         for u, v, g in work:

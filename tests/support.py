@@ -10,7 +10,7 @@ from pathlib import Path
 
 from splinemod.arith import crt_combine, xgcd
 from splinemod.engine import _scaled_inverse
-from splinemod.graph import EdgeLabeledGraph, normalize
+from splinemod.graph import EdgeLabeledGraph, NormalizationReport, normalize
 from splinemod.matrix import IntMatrix, snf
 
 
@@ -286,6 +286,42 @@ def naive_span(generators, m, n):
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+def reference_normalize(G: EdgeLabeledGraph):
+    """``normalize(G)`` by the naive fixpoint: drop the unit edges, group
+    the others by the pair of classes they join, merge one pair whose lcm
+    is the zero ideal, and regroup from scratch, until no group's lcm is m.
+    A class is named by its least vertex throughout, with its own gcd per
+    edge and no union-find."""
+    m = G.modulus
+    dropped, kept = [], []
+    for u, v, label in G.edges:
+        g = gcd(label, m)
+        if g == 1 and m != 1:
+            dropped.append((u, v, label))
+        else:
+            kept.append((u, v, g))
+    cls = list(range(G.n))
+    while True:
+        groups = {}
+        for u, v, g in kept:
+            a, b = sorted((cls[u], cls[v]))
+            if a != b:
+                groups.setdefault((a, b), []).append(g)
+        zero = [key for key, gs in groups.items() if lcm(*gs) == m]
+        if not zero:
+            break
+        a, b = zero[0]
+        cls = [a if c == b else c for c in cls]
+    reps = sorted(set(cls))
+    index = {r: k for k, r in enumerate(reps)}
+    keys = sorted(groups)
+    edges = tuple((index[a], index[b], lcm(*groups[a, b])) for a, b in keys)
+    collapsed = tuple((key, lcm(*groups[key])) for key in keys if len(groups[key]) > 1)
+    graph = EdgeLabeledGraph(m, tuple(G.vertices[r] for r in reps), edges)
+    report = NormalizationReport(tuple(index[c] for c in cls), tuple(dropped), collapsed)
+    return graph, report
 
 
 # Reference gluing and edge check: the entry-by-entry forms that

@@ -960,6 +960,7 @@ _SHARED_TUPLES = ((0, 1), (2, -3))
 _SHARED_BOOL_ROWS = [(1, True), (2, 3)]
 _SHARED_EDGES = [["a", "b\u00e9", 2], ["b", "c", 30]]
 _INT_VECTORS_12 = _int_vectors(2, [{0: 1, 1: 2}])  # ((1, 2),)
+_SHARED_WIDE_ROWS = [(-1, 2**70), (-(2**70) + 1, 0), (2**70 - 1, -7)]
 
 
 class TestJsonOutput:
@@ -986,6 +987,23 @@ class TestJsonOutput:
     @example({"a": _SHARED_LISTS, "b": _SHARED_LISTS})
     @example({"a": _SHARED_BOOL_ROWS, "b": [_SHARED_BOOL_ROWS], "c": _SHARED_BOOL_ROWS})
     @example({"edges": [{"e": _SHARED_EDGES}], "top": _SHARED_EDGES, "again": _SHARED_EDGES})
+    # a plain row set is written with one template fill; anything else in
+    # a column, ragged or nested rows fall back to the recursive writer
+    @example([("a", 1, "b"), ["c", -2, "d\u00e9"], ("e", 2**70, "f")])
+    @example([["a%s", "b%%", 1], ["%d", "c", 2]])
+    @example([(1, 2), (3, True), (5, 6)])
+    @example([(1, 2.0), (3, 4)])
+    @example([["a", "b", 2.0], ["c", "d", 3]])
+    @example([("a", 1), (True, 2)])
+    @example([(1, None), (2, 3)])
+    @example([[1, 2], [3], [4, 5, 6]])
+    @example([[[1, 2]], [[3, 4]]])
+    @example([("a", 1), ["b", 2], ("c", 3)])
+    @example([-(2**70), 2**70 - 1, -1, 0])
+    @example([(7, -8, 9)])
+    @example([["a", "b", 3]])
+    @example({"top": _SHARED_WIDE_ROWS, "deep": {"x": [_SHARED_WIDE_ROWS]}})
+    @example({"deep": {"x": [_SHARED_WIDE_ROWS]}, "top": _SHARED_WIDE_ROWS})
     # an IntVectors skips the type check, but a plain set with equal rows
     # beside it, one holding True included, is still checked and printed
     @example([_INT_VECTORS_12, [(True, 2)]])
@@ -1214,6 +1232,15 @@ class TestHumanOutput:
             "edge h a 10\nedge a e 15\nedge b f 1\nedge c g 13\nedge f h 2\n"
             "edge b d 3\n"
         ),
+        # mod 360 = 8 * 9 * 5: the parts mod 8 and mod 9 keep lattices,
+        # dropped units and a collapsed parallel edge, the part mod 5 is
+        # free on two classes, so the component ranks are 5, 5 and 2
+        "n10m360": (
+            "mod 360\nvertices a b c d e f g h i j\nedge a b 12\nedge b c 18\n"
+            "edge c d 0\nedge d e 7\nedge e f 40\nedge f g 45\nedge g h 20\n"
+            "edge h i 30\nedge i j 72\nedge j a 90\nedge a e 6\nedge a e 15\n"
+            "edge b g 120\nedge c h 4\nedge d i 11\nedge f j 24\n"
+        ),
     }
 
     PATHS = [
@@ -1226,16 +1253,19 @@ class TestHumanOutput:
         ("extend_mod12", ["extend", "{base12}", "{ext12}", "c"]),
         ("extend_integer", ["extend", "{base0}", "{ext0}", "c"]),
     ]
-    # appended after the --json half of PATHS so the existing case ids stay put
+    # appended after the --json half of PATHS, each with its --json case
+    # next to it, so the existing case ids stay put
     LATER_PATHS = [
         ("solve_n8_m30_crt", ["solve", "{n8m30}", "--crt"]),
+        ("solve_n10_m360_crt", ["solve", "{n10m360}", "--crt"]),
+        ("solve_n10_m360", ["solve", "{n10m360}"]),
     ]
 
     @pytest.mark.parametrize(
         "golden, argv",
         [
             case
-            for paths in (PATHS, LATER_PATHS)
+            for paths in (PATHS, *([later] for later in LATER_PATHS))
             for case in paths + [(golden, argv + ["--json"]) for golden, argv in paths]
         ],
     )

@@ -19,7 +19,7 @@ from splinemod.graph import (
     parse_graph_json,
 )
 from splinemod.oracle import enumerate_splines
-from support import random_connected_graph, reference_spline_check
+from support import random_connected_graph, reference_normalize, reference_spline_check
 
 SIX_CYCLE = """\
 # six-cycle, labels alternate between the two prime blocks
@@ -470,6 +470,40 @@ class TestNormalize:
                 for (a, b), gs in sorted(groups.items())
                 if len(gs) > 1
             )
+
+    def test_matches_naive_fixpoint(self):
+        # Few vertices and many edges give parallel pairs; labels that are
+        # multiples of divisors of m give zero edges and groups whose lcm
+        # is m.  A merge that neither a zero edge nor the edges between one
+        # original pair makes needed an earlier merge to group its edges.
+        rng = random.Random(41)
+        moduli = (0, 1, 2, 4, 6, 12, 30, 36, 60, 360)
+        zero_edges = late_merges = 0
+        for i in range(1000):
+            m = moduli[i % len(moduli)]
+            n = rng.randrange(1, 8)
+            if m:
+                divisors = [d for d in range(1, m + 1) if m % d == 0]
+                labels = [d * k for d in divisors for k in (1, -1, 7)]
+            else:
+                labels = [0, 1, -1, 2, 3, 4, 6, 12, -6]
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)] if n > 1 else []
+            edges = tuple(
+                (*rng.choice(pairs), rng.choice(labels))
+                for _ in range(rng.randrange(4 * n) if pairs else 0)
+            )
+            G = EdgeLabeledGraph(m, tuple(f"v{k}" for k in range(n)), edges)
+            H, report = normalize(G)
+            assert (H, report) == reference_normalize(G)
+            merge = report.vertex_merge_map
+            zero = [(u, v) for u, v, g in G.conditions if g == m]
+            by_pair = {}
+            for u, v, g in G.conditions:
+                by_pair.setdefault((min(u, v), max(u, v)), []).append(g)
+            one_round = components(n, zero + [p for p, gs in by_pair.items() if lcm(*gs) == m])
+            zero_edges += bool(zero)
+            late_merges += len(set(merge)) < len(set(one_round))
+        assert zero_edges > 300 and late_merges > 20
 
     def test_m1_collapses_everything(self):
         G = EdgeLabeledGraph(1, ("a", "b"), ((0, 1, 0),))
